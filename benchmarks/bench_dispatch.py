@@ -6,10 +6,11 @@ One workload, one protocol, three execution modes of the same machine:
     Both compiled paths off — the reference interpreter (guard-chain
     transition dispatch, every access through the event core).
 ``compiled``
-    Layer 1 only: transition tables lowered to integer-indexed dispatch
-    (:mod:`repro.coherence.compile`), accesses still interpreted.
+    Transition tables lowered to integer-indexed dispatch
+    (:mod:`repro.coherence.compile`), with the bucketed event queue and
+    the protocol lanes that ride on it; hits still go through the engine.
 ``fastpath``
-    Layers 1+2: compiled dispatch plus the direct-execution batcher
+    The default engine: the above plus the direct-execution batcher
     (:mod:`repro.processor.fastpath`) retiring hit runs outside the
     engine.
 

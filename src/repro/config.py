@@ -50,24 +50,14 @@ class SIMechanism(enum.Enum):
 
 
 class ExecutionMode(enum.Enum):
-    """Which execution engine retires coherence transactions.
+    """Retired engine selector, kept so cached records keep their keys.
 
-    REFERENCE is the bit-identical oracle: every message hop, resource
-    occupancy and quantum boundary fires as a discrete event through the
-    full Message/table machinery, exactly as the interpreter always has.
-    RELAXED runs the same event *structure* (hop for hop — elision of
-    any intermediate event was tried and is provably order-unsafe, see
-    ``repro.network.network``) on two cheaper substrates: a per-cycle
-    bucketed event queue, and straight-line Message-free *lanes* that
-    retire uncontended transactions (miss -> home -> grant) without
-    building Message objects, contexts or table rows.  A transaction
-    that meets a contention hazard (busy directory entry, exclusive
-    owner, sharer fan-out, raced MSHR) *bails*: the lane materializes
-    the Message it never built and hands it to the reference handler at
-    the exact point the reference engine would have processed it.
-    Relaxed runs are proven *observationally* equal to reference runs
-    (every measured RunRecord field except ``events_fired``) by
-    ``repro.harness.equivalence --observational``.
+    Both values run the same engine: the bucketed event queue and the
+    Message-free protocol lanes are bit-identical layers of it, switched
+    on with ``compiled_dispatch`` (see :class:`repro.system.Machine`).
+    The field survives only because :meth:`repro.harness.runspec.RunSpec.key`
+    hashes every config field; dropping it would orphan every cached
+    record.
     """
 
     REFERENCE = "reference"
@@ -139,31 +129,22 @@ class SystemConfig:
     check_invariants: bool = False  # enable the SWMR/value protocol monitor
     max_events: int = 0  # 0 = unlimited; else abort after this many events
     # Execution engine (repro.coherence.compile / repro.processor.fastpath).
-    # Both default on; the interpreted paths stay bit-identical and remain
-    # as the reference side of the equivalence harness.  The DSI_NO_FASTPATH
-    # environment variable (any non-empty value) forces both off — the
-    # runtime escape hatch behind ``dsi-sim run --no-fastpath``.
+    # Both default on; compiled dispatch also brings in the bucketed event
+    # queue and the protocol lanes (repro.system.Machine).  The interpreted
+    # paths stay bit-identical and remain as the reference side of the
+    # equivalence harness.  The DSI_NO_FASTPATH environment variable (any
+    # non-empty value) forces both off — the runtime escape hatch behind
+    # ``dsi-sim run --no-fastpath``.
     compiled_dispatch: bool = True  # table lowered to integer-indexed dispatch
     direct_execution: bool = True  # batch private/valid hits outside the engine
-    # Transaction-retirement engine (see ExecutionMode).  REFERENCE stays
-    # the default: it is the oracle every other path is proven against.
-    # The DSI_MODE environment variable ("relaxed" / "reference")
-    # overrides the field process-wide — the runtime escape hatch behind
-    # ``dsi-sim run --mode``.
+    # Selects nothing: every run takes the same engine (see ExecutionMode).
+    # Kept, with its default, so RunSpec keys and cached records stay valid.
     execution_mode: ExecutionMode = ExecutionMode.REFERENCE
 
     def __post_init__(self):
         if os.environ.get("DSI_NO_FASTPATH"):
             object.__setattr__(self, "compiled_dispatch", False)
             object.__setattr__(self, "direct_execution", False)
-        env_mode = os.environ.get("DSI_MODE")
-        if env_mode:
-            try:
-                object.__setattr__(self, "execution_mode", ExecutionMode(env_mode))
-            except ValueError:
-                raise ConfigError(
-                    f"DSI_MODE must be 'reference' or 'relaxed', not {env_mode!r}"
-                ) from None
         if self.n_processors < 1:
             raise ConfigError("n_processors must be >= 1")
         if self.block_size & (self.block_size - 1):

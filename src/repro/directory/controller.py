@@ -743,15 +743,15 @@ class DirectoryController:
             self._dispatch(_MSG_EVENTS[msg.kind], _Ctx(self, entry, msg))
 
     # ------------------------------------------------------------------
-    # Relaxed-engine lanes (Message-free uncontended requests)
+    # Protocol lanes (Message-free uncontended requests)
     # ------------------------------------------------------------------
-    # Under ExecutionMode.RELAXED the cache controllers route plain
+    # With the lanes on the cache controllers route plain
     # GETS/GETX/UPGRADE requests here without building a Message.  Each
     # lane occupies the controller resource exactly like ``receive``,
     # then either retires the request with a straight-line replica of the
     # uncontended table rows (classify, grant, lane response) or *bails*:
     # it materializes the Message it never built and runs the reference
-    # ``_process`` at the very point the reference engine would have,
+    # ``_process`` at the very point the table path would have,
     # which makes a bail exact by construction.  Lanes are never active
     # under instrumentation, the invariant monitor, or Tardis.
 
@@ -783,9 +783,9 @@ class DirectoryController:
         cache = self.network.cache_sinks[src]
         args = (block, entry.data, entry.version, decision.si, tearoff)
         if src == self.node:
-            self.network.relaxed_send_local("DATA", True, cache._lane_data, args)
+            self.network.lane_send_local("DATA", True, cache._lane_data, args)
         else:
-            self.network.relaxed_send_remote(
+            self.network.lane_send_remote(
                 "DATA", self.node, True, cache._lane_data, args
             )
 
@@ -837,9 +837,9 @@ class DirectoryController:
         else:
             arrival, carries, name = cache._lane_data_ex, True, "DATA_EX"
         if src == self.node:
-            self.network.relaxed_send_local(name, carries, arrival, args)
+            self.network.lane_send_local(name, carries, arrival, args)
         else:
-            self.network.relaxed_send_remote(name, self.node, carries, arrival, args)
+            self.network.lane_send_remote(name, self.node, carries, arrival, args)
 
     # ------------------------------------------------------------------
     def deadlock_diagnostic(self):

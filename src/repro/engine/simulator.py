@@ -135,9 +135,9 @@ class BucketSimulator(Simulator):
     heap by *cycle* and appending same-cycle events to a plain list cuts
     the heap traffic by the mean bucket occupancy.  Append order is
     schedule order, which is exactly the sequence-number tie-break of the
-    flat heap — firing order is identical, event for event.  Used by the
-    relaxed execution engine; the reference engine keeps the flat heap
-    untouched.
+    flat heap — firing order is identical, event for event.  The default
+    engine runs on it; the interpreted oracle (``compiled_dispatch`` off)
+    and watched runs keep the flat heap.
     """
 
     __slots__ = ("_buckets", "_times")
@@ -222,17 +222,19 @@ class BucketSimulator(Simulator):
                     time = heappop(times)
                     self.now = time
                     bucket = buckets[time]
+                    # Counted and bounded per event, as the flat heap is:
+                    # both queues must stop at the same event.
                     for callback, args in bucket:
                         callback(*args)
-                    self.events_fired += len(bucket)
+                        self.events_fired += 1
+                        if (
+                            max_events is not None
+                            and self.events_fired - fired_at_entry > max_events
+                        ):
+                            raise SimulationError(
+                                f"exceeded max_events={max_events}; likely livelock"
+                            )
                     del buckets[time]
-                    if (
-                        max_events is not None
-                        and self.events_fired - fired_at_entry > max_events
-                    ):
-                        raise SimulationError(
-                            f"exceeded max_events={max_events}; likely livelock"
-                        )
                 else:
                     self._check_deadlock()
         finally:

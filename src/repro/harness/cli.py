@@ -184,19 +184,10 @@ def build_parser():
         "--no-fastpath",
         action="store_true",
         help="run: interpreted execution paths only — disable the compiled "
-        "transition dispatch and the direct-execution batcher (results are "
+        "transition dispatch (and with it the bucketed event queue and the "
+        "protocol lanes) and the direct-execution batcher (results are "
         "bit-identical either way; this is the debugging escape hatch, also "
         "available process-wide via the DSI_NO_FASTPATH environment variable)",
-    )
-    parser.add_argument(
-        "--mode",
-        choices=("reference", "relaxed"),
-        default=None,
-        help="run/bench: execution engine — 'reference' is the event-exact "
-        "oracle, 'relaxed' retires uncontended transactions on the bucketed "
-        "queue + Message-free lanes (observationally equal: every reported "
-        "quantity except the internal event count matches the reference; "
-        "also available process-wide via the DSI_MODE environment variable)",
     )
     parser.add_argument(
         "--latency", type=int, default=100, help="run: network latency in cycles"
@@ -762,10 +753,6 @@ def _protocol_overrides(args):
     if getattr(args, "no_fastpath", False):
         overrides["compiled_dispatch"] = False
         overrides["direct_execution"] = False
-    if getattr(args, "mode", None):
-        from repro.config import ExecutionMode
-
-        overrides["execution_mode"] = ExecutionMode(args.mode)
     return overrides
 
 
@@ -1326,7 +1313,6 @@ def _bench(args):
             jobs=args.jobs or 1,
             repeat=args.repeat,
             verbose=args.verbose,
-            mode=args.mode,
             telemetry=_telemetry_config(args),
         )
     except ConfigError as exc:

@@ -1,15 +1,16 @@
-"""Interpreted-vs-compiled equivalence proofs.
+"""Default-engine-vs-interpreter equivalence proofs.
 
-The compiled execution paths (:mod:`repro.coherence.compile` table
-dispatch and the :mod:`repro.processor.fastpath` direct-execution
-batcher) claim to be *invisible*: a run with both enabled must produce a
-:class:`~repro.stats.record.RunRecord` equal — field for field, event
-count included, telemetry excluded — to the interpreted run.  This
-module is that claim as an executable proof: it sweeps every structural
-protocol variant (the 44 combinations of
-:func:`repro.coherence.variants.enumerate_variants` over both migratory
-settings, plus SC/WC Tardis) across every paper workload, runs each
-program once per execution mode, and compares the full records.
+Every layer of the default engine — :mod:`repro.coherence.compile` table
+dispatch, the :mod:`repro.processor.fastpath` direct-execution batcher,
+the bucketed event queue and the Message-free protocol lanes
+(:data:`repro.system.ENGINE_LAYERS`) — claims to be *invisible*: a
+default run must produce a :class:`~repro.stats.record.RunRecord` equal
+— field for field, event count included, telemetry excluded — to the
+fully interpreted run.  This module is that claim as an executable
+proof: it sweeps every structural protocol variant (the 44 combinations
+of :func:`repro.coherence.variants.enumerate_variants` over both
+migratory settings, plus SC/WC Tardis) across every paper workload, runs
+each program once on each engine, and compares the full records.
 
 Run it directly::
 
@@ -36,7 +37,7 @@ from repro.coherence.variants import (
     enumerate_variants,
     tardis_variants,
 )
-from repro.config import Consistency, ExecutionMode, SystemConfig
+from repro.config import Consistency, SystemConfig
 from repro.errors import ConfigError
 from repro.harness.configs import SMALL_CACHE, WORKLOADS, workload_args
 from repro.harness.runspec import RunSpec
@@ -87,7 +88,8 @@ def config_for_variant(variant, n_procs=SWEEP_PROCS, **overrides):
 
 
 def reference_config(config):
-    """The interpreted twin of ``config`` (both compiled paths off)."""
+    """The interpreted twin of ``config``: both compiled paths off, which
+    also keeps the bucketed queue and the lanes off."""
     return replace(config, compiled_dispatch=False, direct_execution=False)
 
 
@@ -99,7 +101,7 @@ def compare_records(fast, ref):
 
 
 def check_pair(workload, config, wl_args):
-    """Run ``workload`` once interpreted and once compiled.
+    """Run ``workload`` once interpreted and once on ``config``'s engine.
 
     Returns ``(equal, differing_field_names)``.  The same generated
     program object feeds both machines, so any divergence is the
@@ -113,105 +115,33 @@ def check_pair(workload, config, wl_args):
     return not diffs, diffs
 
 
+#: Layer activation order for mismatch localization: each step switches
+#: one more layer on over the interpreted oracle.
+LAYER_ORDER = ("compiled dispatch", "direct execution", "queue", "lanes")
+
+
 def localize_layer(workload, config, wl_args):
     """On a mismatch, name the guilty layer.
 
-    Re-runs with only compiled dispatch enabled: if that run already
-    diverges from the interpreted reference the table compiler (layer 1)
-    is at fault, otherwise the direct-execution batcher (layer 2)."""
-    dispatch_only = replace(config, compiled_dispatch=True, direct_execution=False)
-    equal, _diffs = check_pair(workload, dispatch_only, wl_args)
-    return "fastpath (direct execution)" if equal else "compiled dispatch"
-
-
-# ----------------------------------------------------------------------
-# Observational equivalence: the relaxed engine vs the reference oracle
-# ----------------------------------------------------------------------
-#: layer activation order for mismatch localization: the bucketed event
-#: queue alone first (pure scheduling substrate), then the protocol
-#: lanes on top of it (production configuration)
-RELAXED_LAYER_ORDER = ("queue", "lanes")
-
-
-def relaxed_config(config):
-    """The relaxed-engine twin of ``config``."""
-    return replace(config, execution_mode=ExecutionMode.RELAXED)
-
-
-def compare_observational(relaxed, ref):
-    """Fields differing under *observational* equality.
-
-    Same basis as :func:`compare_records` minus ``events_fired`` — the
-    relaxed engine's entire point is firing fewer events; everything the
-    paper's figures are built from (exec_time, the per-type message
-    counts, the miss mix, controller occupancies) must stay exact."""
-    relaxed_dict = relaxed._measured_dict()
-    ref_dict = ref._measured_dict()
-    relaxed_dict.pop("events_fired", None)
-    return [
-        key for key in relaxed_dict
-        if key != "events_fired" and relaxed_dict[key] != ref_dict[key]
-    ]
-
-
-def check_pair_observational(workload, config, wl_args):
-    """Run ``workload`` once relaxed and once on the reference engine.
-
-    ``config`` is the reference-side config (its fastpath settings are
-    kept: they are bit-identical by the proof above, and the production
-    default).  Returns ``(equal, differing_field_names)``."""
-    relaxed_spec = RunSpec.create(workload, relaxed_config(config), **wl_args)
-    ref_spec = RunSpec.create(workload, config, **wl_args)
-    program = relaxed_spec.build_program()
-    relaxed = relaxed_spec.execute(program)
-    ref = ref_spec.execute(program)
-    diffs = compare_observational(relaxed, ref)
-    return not diffs, diffs
-
-
-def localize_relaxed_layer(workload, config, wl_args):
-    """Name the relaxed-engine layer an observational mismatch lives in.
-
-    Re-runs the pair with cumulative layer subsets (transport elision
-    alone, + protocol lanes, + bucket queue); the first subset that
-    diverges names the guilty layer."""
-    saved = system_mod.RELAXED_LAYERS
+    Re-runs the pair with the layers of :data:`LAYER_ORDER` switched on
+    cumulatively; the first run that diverges from the interpreted
+    oracle names the layer."""
+    saved = system_mod.ENGINE_LAYERS
+    steps = (
+        (replace(config, direct_execution=False), frozenset()),
+        (config, frozenset()),
+        (config, frozenset({"queue"})),
+        (config, saved),
+    )
     try:
-        enabled = []
-        for layer in RELAXED_LAYER_ORDER:
-            enabled.append(layer)
-            system_mod.RELAXED_LAYERS = frozenset(enabled)
-            equal, _diffs = check_pair_observational(workload, config, wl_args)
+        for layer, (layer_config, engine_layers) in zip(LAYER_ORDER, steps):
+            system_mod.ENGINE_LAYERS = engine_layers
+            equal, _diffs = check_pair(workload, layer_config, wl_args)
             if not equal:
                 return layer
         return "unlocalized"
     finally:
-        system_mod.RELAXED_LAYERS = saved
-
-
-def sweep_observational(variants=None, workloads=WORKLOADS, n_procs=SWEEP_PROCS,
-                        quick=True, out=None):
-    """Prove relaxed == reference observationally over variants x workloads.
-
-    Returns failure tuples ``(variant_label, workload, diffs, layer)``."""
-    if variants is None:
-        variants = all_variants()
-    failures = []
-    for variant in variants:
-        config = config_for_variant(variant, n_procs=n_procs)
-        marks = []
-        for workload in workloads:
-            wl_args = workload_args(workload, quick=quick, n_procs=n_procs)
-            equal, diffs = check_pair_observational(workload, config, wl_args)
-            if equal:
-                marks.append(f"{workload}:ok")
-            else:
-                layer = localize_relaxed_layer(workload, config, wl_args)
-                failures.append((variant.describe(), workload, diffs, layer))
-                marks.append(f"{workload}:DIFF({','.join(diffs)})")
-        if out is not None:
-            print(f"{variant.describe():28s} {' '.join(marks)}", file=out)
-    return failures
+        system_mod.ENGINE_LAYERS = saved
 
 
 # ----------------------------------------------------------------------
@@ -327,8 +257,8 @@ def sweep(variants=None, workloads=WORKLOADS, n_procs=SWEEP_PROCS, quick=True, o
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness.equivalence",
-        description="Prove the compiled execution paths bit-identical to the "
-        "interpreted reference across every protocol variant.",
+        description="Prove every layer of the default engine bit-identical to "
+        "the interpreted reference across every protocol variant.",
     )
     parser.add_argument(
         "-k",
@@ -351,13 +281,6 @@ def main(argv=None):
         "--full-scale",
         action="store_true",
         help="use full-scale workload parameters instead of the quick set",
-    )
-    parser.add_argument(
-        "--observational",
-        action="store_true",
-        help="prove the relaxed engine observationally equal to the reference "
-        "oracle (every measured field except events_fired) instead of the "
-        "compiled-vs-interpreted bit-identity proof",
     )
     parser.add_argument(
         "--telemetry",
@@ -383,14 +306,6 @@ def main(argv=None):
               "log reconciles with manifest (zero lost events)")
         return 0
 
-    if args.observational and os.environ.get("DSI_MODE"):
-        print(
-            "equivalence: DSI_MODE is set — both sides of the observational "
-            "comparison would run the same engine; unset it first.",
-            file=sys.stderr,
-        )
-        return 2
-
     if os.environ.get("DSI_NO_FASTPATH"):
         print(
             "equivalence: DSI_NO_FASTPATH is set — every config would take the "
@@ -407,14 +322,12 @@ def main(argv=None):
             return 2
 
     pairs = len(variants) * len(args.workloads)
-    mode = "observational (relaxed vs reference)" if args.observational else "bit-identity"
     print(
-        f"# equivalence sweep [{mode}]: {len(variants)} variants x "
+        f"# equivalence sweep [bit-identity]: {len(variants)} variants x "
         f"{len(args.workloads)} workloads = {pairs} pairs "
         f"({args.procs} processors, {'full' if args.full_scale else 'quick'} scale)"
     )
-    sweep_fn = sweep_observational if args.observational else sweep
-    failures = sweep_fn(
+    failures = sweep(
         variants,
         workloads=args.workloads,
         n_procs=args.procs,
@@ -426,10 +339,7 @@ def main(argv=None):
         for label, workload, diffs, layer in failures:
             print(f"  {label} / {workload}: {', '.join(diffs)} [{layer}]")
         return 1
-    if args.observational:
-        print(f"\nOK: all {pairs} pairs observationally equal (events_fired excluded)")
-    else:
-        print(f"\nOK: all {pairs} pairs bit-identical (telemetry excluded)")
+    print(f"\nOK: all {pairs} pairs bit-identical (telemetry excluded)")
     return 0
 
 

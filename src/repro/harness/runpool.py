@@ -112,10 +112,9 @@ def code_fingerprint():
 
     Any edit to the simulator, protocol, workloads or harness changes the
     fingerprint and thereby orphans all previously cached records.  The
-    execution modes are folded in too: ``DSI_NO_FASTPATH`` forces every
-    config onto the interpreted paths and ``DSI_MODE`` selects the
-    transaction-retirement engine *after* spec construction, so two
-    processes differing only in those variables must not share cache
+    execution mode is folded in too: ``DSI_NO_FASTPATH`` forces every
+    config onto the interpreted paths *after* spec construction, so two
+    processes differing only in that variable must not share cache
     entries — they fingerprint (and therefore cache) separately.
 
     Telemetry settings (``DSI_LOG``/``DSI_PROFILE``, ``--log``,
@@ -124,13 +123,11 @@ def code_fingerprint():
     harness proves it), so it must never bust the result cache.
     """
     mode = "reference" if os.environ.get("DSI_NO_FASTPATH") else "fast"
-    engine = os.environ.get("DSI_MODE") or "default"
-    fingerprint = _FINGERPRINTS.get((mode, engine))
+    fingerprint = _FINGERPRINTS.get(mode)
     if fingerprint is None:
         package_dir = os.path.dirname(os.path.abspath(repro.__file__))
         digest = hashlib.sha256()
         digest.update(f"execution-mode:{mode}\n".encode("utf-8"))
-        digest.update(f"engine-mode:{engine}\n".encode("utf-8"))
         for root, dirs, files in sorted(os.walk(package_dir)):
             dirs.sort()
             for name in sorted(files):
@@ -140,7 +137,7 @@ def code_fingerprint():
                 digest.update(os.path.relpath(path, package_dir).encode("utf-8"))
                 with open(path, "rb") as handle:
                     digest.update(handle.read())
-        fingerprint = _FINGERPRINTS[(mode, engine)] = digest.hexdigest()
+        fingerprint = _FINGERPRINTS[mode] = digest.hexdigest()
     return fingerprint
 
 

@@ -96,10 +96,10 @@ class Network:
         sinks = self.dir_sinks if _IS_DIR_BOUND[msg.kind] else self.cache_sinks
         sinks[msg.dst].receive(msg)
 
-    # --- relaxed-engine Message-free lanes ----------------------------
-    # The relaxed execution mode (repro.config.ExecutionMode.RELAXED)
-    # moves the hottest uncontended coherence transactions through
-    # *lanes*: the same event chain as the reference engine — NI service
+    # --- Message-free protocol lanes ----------------------------------
+    # The engine's lanes layer (repro.system.ENGINE_LAYERS) moves the
+    # hottest uncontended coherence transactions through *lanes*: the
+    # same event chain as the table-driven path — NI service
     # completion, transit, controller service completion, each a
     # scheduled event at the same cycle, created at the same point of
     # execution — but with the per-event payload stripped to straight
@@ -113,7 +113,7 @@ class Network:
     #
     # An earlier design elided the injection-end event outright and
     # scheduled the delivery at send time.  The differential oracle
-    # killed it: the reference engine assigns a delivery's within-cycle
+    # killed it: the table path assigns a delivery's within-cycle
     # position at injection end, and any event scheduled between send
     # and injection end that lands on the same arrival cycle (a barrier
     # release, a long compute block, another message) can interleave —
@@ -123,10 +123,10 @@ class Network:
     # Exactness therefore demands the injection-end event exist; the
     # lanes keep it and make it cheap instead.
     #
-    # Relaxed mode is forced off under instrumentation, hence no obs
-    # probes on these paths.
+    # The lanes are off under instrumentation, hence no obs probes on
+    # these paths.
 
-    def relaxed_send_local(self, kind_name, carries_data, arrival, args):
+    def lane_send_local(self, kind_name, carries_data, arrival, args):
         """Intra-node hop for a Message-free transfer.
 
         Mirrors ``send`` for ``src == dst``: count, then deliver after
@@ -136,7 +136,7 @@ class Network:
         self.in_flight += 1
         self.sim.schedule(self._local_latency, arrival, *args)
 
-    def relaxed_send_remote(self, kind_name, src, carries_data, arrival, args):
+    def lane_send_remote(self, kind_name, src, carries_data, arrival, args):
         """Remote hop for a Message-free transfer.
 
         Mirrors ``send`` for ``src != dst``: count, occupy the sender's

@@ -265,9 +265,8 @@ class CacheController:
         # join it across nodes (Machine wires the hook).
         self._tardis = config.tardis
         self.pts = 0
-        # Relaxed engine: set by the Machine when the Message-free lanes
-        # are active; the processor binds its entry points accordingly.
-        self.relaxed = False
+        # Set by the Machine when the Message-free lanes are active.
+        self.lanes = False
         # Lane hot-path prebinds (the lanes' whole point is shaving
         # per-transaction interpreter overhead).
         self._ccc = config.cache_ctrl_cycles
@@ -418,7 +417,7 @@ class CacheController:
         """Processor load.  Returns HIT, or WAIT (``on_done(inval_wait,
         reason)`` fires later; reason is "miss" or "read_wb")."""
         frame = self.cache.lookup(block)
-        if self.relaxed and frame is None and block not in self.mshrs:
+        if self.lanes and frame is None and block not in self.mshrs:
             return self._lane_read_miss(block, on_done)
         return self._dispatch(_EV_LOAD, _Ctx(self, block, frame=frame, on_done=on_done))
 
@@ -433,7 +432,7 @@ class CacheController:
         """
         frame = self.cache.lookup(block)
         if (
-            self.relaxed
+            self.lanes
             and block not in self.mshrs
             and (frame is None or frame.state != EXCLUSIVE)
         ):
@@ -732,17 +731,17 @@ class CacheController:
         self._dispatch(_EV_EVICT, ctx, state=self._frame_state_idx(victim))
 
     # ------------------------------------------------------------------
-    # Relaxed-engine lanes (Message-free uncontended transactions)
+    # Protocol lanes (Message-free uncontended transactions)
     # ------------------------------------------------------------------
-    # Active only when the Machine set ``self.relaxed`` (ExecutionMode
-    # .RELAXED, no instrumentation, no invariant monitor, not Tardis).
+    # Active only when the Machine set ``self.lanes`` (compiled dispatch,
+    # no instrumentation, no invariant monitor, not Tardis).
     # Each lane is a straight-line replica of exactly one reference table
     # row, scheduling the same events at the same cycles — the request's
     # service at this controller, its network-interface injection, the
     # transit hop, and the response's service — without building Message
     # or _Ctx objects or walking the transition table.  Any shape the
     # lane doesn't cover *bails*: it materializes the Message and runs
-    # the reference ``_process`` at the very point the reference engine
+    # the reference ``_process`` at the very point the table path
     # would have, which makes a bail exact by construction.
 
     def _lane_read_miss(self, block, on_done):
@@ -763,9 +762,9 @@ class CacheController:
         target = net.dir_sinks[home]._lane_gets
         args = (block, self.node, version)
         if home == self.node:
-            net.relaxed_send_local("GETS", False, target, args)
+            net.lane_send_local("GETS", False, target, args)
         else:
-            net.relaxed_send_remote("GETS", self.node, False, target, args)
+            net.lane_send_remote("GETS", self.node, False, target, args)
 
     def _lane_write_miss(self, block, stamp, on_done, frame):
         # STORE x S/T/I (the blocking SC rows, or the buffered WC rows).
@@ -814,9 +813,9 @@ class CacheController:
         args = (block, self.node, version, upgrade)
         name = "UPGRADE" if upgrade else "GETX"
         if home == self.node:
-            net.relaxed_send_local(name, False, target, args)
+            net.lane_send_local(name, False, target, args)
         else:
-            net.relaxed_send_remote(name, self.node, False, target, args)
+            net.lane_send_remote(name, self.node, False, target, args)
 
     # -- lane response arrivals (scheduled by the home directory) ------
     def _lane_data(self, block, data, version, si, tearoff):

@@ -10,7 +10,7 @@ This is the main entry point of the library::
     print(result.exec_time, result.aggregate_breakdown().as_dict())
 """
 
-from repro.config import ExecutionMode, SystemConfig
+from repro.config import SystemConfig
 from repro.core.identify import make_policy
 from repro.directory.controller import DirectoryController
 from repro.engine.simulator import BucketSimulator, Simulator
@@ -25,11 +25,11 @@ from repro.stats.counters import MessageCounters, MissCounters
 from repro.stats.report import RunResult
 
 
-#: The relaxed engine's independently-toggleable layers: the per-cycle
-#: bucketed event queue and the Message-free protocol fast lanes.  The
-#: equivalence harness narrows this set to localize an observational
-#: mismatch to one layer; production relaxed runs always use both.
-RELAXED_LAYERS = frozenset({"queue", "lanes"})
+#: The engine's bit-identical layers on top of compiled dispatch: the
+#: per-cycle bucketed event queue and the Message-free protocol lanes.
+#: Every unwatched compiled run uses both; the equivalence harness
+#: narrows this set to localize a mismatch to one layer.
+ENGINE_LAYERS = frozenset({"queue", "lanes"})
 
 
 class Machine:
@@ -45,19 +45,24 @@ class Machine:
             )
         self.config = config
         self.program = program
-        # The relaxed engine is forced back to the reference oracle when
-        # anything watches the event stream (instrumentation, the
-        # invariant monitor): the probe-bus and audit guarantees are
-        # defined over reference-engine event shapes.  Custom network
-        # classes also force reference — the lanes fold the base class's
-        # constant transit latency into their hop arithmetic.
-        self.relaxed = (
-            config.execution_mode is ExecutionMode.RELAXED
-            and instrument is None
-            and not config.check_invariants
-            and network_cls is Network
+        # The queue and the lanes ride on compiled dispatch, so the
+        # interpreted oracle (``compiled_dispatch`` off) runs without
+        # them.  Anything watching the event stream (instrumentation, the
+        # invariant monitor) also keeps them off: the probe-bus and audit
+        # guarantees are defined over the oracle's event shapes.  Custom
+        # network classes do too — the lanes fold the base class's
+        # constant transit latency into their hop arithmetic.  Tardis
+        # timestamps ride on every request/grant, so leased configs keep
+        # the queue but stay on the table handlers.
+        watched = (
+            instrument is not None
+            or config.check_invariants
+            or network_cls is not Network
         )
-        layers = RELAXED_LAYERS if self.relaxed else frozenset()
+        layers = ENGINE_LAYERS if config.compiled_dispatch and not watched else frozenset()
+        if config.tardis:
+            layers -= {"lanes"}
+        self.layers = layers
         sim_cls = BucketSimulator if "queue" in layers else Simulator
         self.sim = sim_cls(max_events=config.max_events or None)
         self.counters = MessageCounters()
@@ -93,13 +98,9 @@ class Machine:
         ]
         for node in range(config.n_processors):
             self.network.attach(node, self.controllers[node], self.directories[node])
-        # The protocol lanes cover the plain-protocol request shapes;
-        # Tardis timestamps ride on every request/grant, so leased
-        # configs stay on the reference handlers (still under the
-        # bucketed queue).
-        if self.relaxed and "lanes" in layers and not config.tardis:
+        if "lanes" in layers:
             for controller in self.controllers:
-                controller.relaxed = True
+                controller.lanes = True
         self.locks = LockManager()
         self.barrier = BarrierManager(self.sim, config.n_processors, config.barrier_latency)
         if config.tardis:

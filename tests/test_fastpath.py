@@ -23,10 +23,11 @@ from dataclasses import replace
 import pytest
 
 from repro.config import Consistency, IdentifyScheme, SIMechanism, SystemConfig
+from repro.engine.simulator import Simulator
 from repro.network.message import Message
 from repro.obs.instrument import Instrument
 from repro.stats.record import RunRecord
-from repro.system import Machine
+from repro.system import ENGINE_LAYERS, Machine
 from repro.trace.builder import TraceBuilder
 from repro.trace.ops import Program
 
@@ -285,24 +286,24 @@ class TestBoundarySoup:
 
 
 # ---------------------------------------------------------------------------
-# Composition with the relaxed engine
+# Composition with the bucketed queue and the lanes
 # ---------------------------------------------------------------------------
 
 
 class TestRelaxedComposition:
-    """The batcher rides on top of the relaxed engine's bucketed queue.
+    """The batcher rides on top of the bucketed queue and the lanes.
 
-    The fast path and the relaxed engine optimize different layers —
-    hit retirement versus transaction plumbing — and a relaxed machine
-    must keep batching hits while every measured quantity stays exactly
-    the reference oracle's (probe recording is unavailable here: an
-    instrument forces the machine back to the reference engine, which is
-    itself asserted below)."""
+    The fast path and the queue/lanes optimize different layers — hit
+    retirement versus transaction plumbing — and a default machine must
+    keep batching hits while its record stays bit-identical to the
+    interpreted oracle's (probe recording is unavailable here: an
+    instrument turns the queue and the lanes off, which is itself
+    asserted below)."""
 
     def _program(self, quantum):
         # Hit runs sized exactly to the quantum, a sync op landing on the
         # batch edge, then a cross-processor read that bails the batcher
-        # into the relaxed transaction lanes.
+        # into the transaction lanes.
         builders = [TraceBuilder(), TraceBuilder()]
         for node, builder in enumerate(builders):
             mine = _addr(3 + node, segment=node)
@@ -312,37 +313,26 @@ class TestRelaxedComposition:
             builder.barrier(0)
             builder.read(_addr(3 + (1 - node), segment=1 - node))
             builder.barrier(1)
-        return Program("relaxed-edge", [b.build() for b in builders])
+        return Program("lanes-edge", [b.build() for b in builders])
 
     def test_batcher_active_and_observationally_equal(self):
-        from repro.config import ExecutionMode
-        from repro.engine.simulator import BucketSimulator
-        from repro.harness.equivalence import compare_observational
-
         for quantum in (4, 8):
             program = self._program(quantum)
             config = SystemConfig(n_processors=2, quantum=quantum)
-            relaxed_cfg = replace(config, execution_mode=ExecutionMode.RELAXED)
-            machine, relaxed_record, _ = _run(relaxed_cfg, program)
-            assert machine.relaxed
-            assert isinstance(machine.sim, BucketSimulator)
+            machine, record, _ = _run(config, program)
+            assert machine.layers == ENGINE_LAYERS
             fasts = _fastpaths(machine)
             assert all(f is not None and f.retired_ops >= quantum for f in fasts)
             assert all(f.handoffs > 0 for f in fasts)  # sync + remote miss
-            _, ref_record, _ = _run(config, program)
-            diffs = compare_observational(relaxed_record, ref_record)
-            assert not diffs, f"quantum={quantum} diverged on: {', '.join(diffs)}"
+            _, ref_record, _ = _run(_reference(config), program)
+            assert record == ref_record, f"quantum={quantum} diverged"
 
     def test_instrumented_relaxed_run_downgrades_and_stays_exact(self):
-        from repro.config import ExecutionMode
-        from repro.engine.simulator import Simulator
-
         program = self._program(4)
         config = SystemConfig(n_processors=2, quantum=4)
-        relaxed_cfg = replace(config, execution_mode=ExecutionMode.RELAXED)
-        machine, record, instrument = _run(relaxed_cfg, program, record_probes=True)
-        assert not machine.relaxed  # instrument forces the oracle
+        machine, record, instrument = _run(config, program, record_probes=True)
+        assert not machine.layers  # instrument turns the queue and lanes off
         assert type(machine.sim) is Simulator
-        _, ref_record, ref_instrument = _run(config, program, record_probes=True)
+        _, ref_record, ref_instrument = _run(_reference(config), program, record_probes=True)
         assert record == ref_record
         assert instrument.seq == ref_instrument.seq

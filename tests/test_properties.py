@@ -11,6 +11,10 @@ configuration must:
   invalidation acknowledged, WC acks forwarded exactly once per parallel
   grant),
 * agree with the base protocol on the values race-free readers observe.
+
+The same programs also drive the engine differential: the default engine
+(compiled dispatch, direct execution, bucketed queue, protocol lanes)
+must produce the interpreted oracle's record, event count included.
 """
 
 import pytest
@@ -18,7 +22,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import seg_addr, tiny_config
 from repro.config import Consistency, IdentifyScheme, SIMechanism
-from repro.system import Machine
+from repro.harness.equivalence import reference_config
+from repro.stats.record import RunRecord
+from repro.system import ENGINE_LAYERS, Machine
 from repro.trace.builder import TraceBuilder
 from repro.trace.ops import Program
 
@@ -165,6 +171,36 @@ def test_deterministic_replay(program):
     assert first.exec_time == second.exec_time
     assert first.events_fired == second.events_fired
     assert total_counts(first) == total_counts(second)
+
+
+#: base, DSI-S and DSI-V, each with sync-flush and with a tiny FIFO
+DIFFERENTIAL_PROTOCOLS = [
+    dict(),
+    dict(identify=IdentifyScheme.STATES),
+    dict(identify=IdentifyScheme.STATES, si_mechanism=SIMechanism.FIFO, fifo_entries=2),
+    dict(identify=IdentifyScheme.VERSION),
+    dict(identify=IdentifyScheme.VERSION, si_mechanism=SIMechanism.FIFO, fifo_entries=2),
+]
+
+
+@pytest.mark.parametrize("quantum", [1, 64])
+@pytest.mark.parametrize("consistency", list(Consistency))
+@pytest.mark.parametrize("overrides", DIFFERENTIAL_PROTOCOLS)
+@given(program=programs())
+@settings(max_examples=15, deadline=None)
+def test_default_engine_matches_interpreted_oracle(overrides, consistency, quantum, program):
+    # No monitor and no event bound: the monitor keeps the queue and the
+    # lanes off (both sides would be the oracle), and a bound would take
+    # the queue's checked loop instead of the production one.
+    config = tiny_config(
+        n_procs=N_PROCS, check_invariants=False, max_events=0,
+        consistency=consistency, quantum=quantum, **overrides,
+    )
+    machine = Machine(config, program)
+    assert machine.layers == ENGINE_LAYERS
+    default = RunRecord.from_result(machine.run())
+    oracle = RunRecord.from_result(Machine(reference_config(config), program).run())
+    assert default._measured_dict() == oracle._measured_dict()
 
 
 @given(program=programs(), latency=st.sampled_from([10, 100, 400]))

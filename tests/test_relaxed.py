@@ -1,26 +1,27 @@
-"""The relaxed execution engine: observational equality and its seams.
+"""The engine's bucketed queue and protocol lanes: bit-identity and seams.
 
-The relaxed engine (``ExecutionMode.RELAXED``) runs the reference event
-*structure* on cheaper substrates — the per-cycle bucketed event queue
+Every unwatched compiled run retires transactions on two cheaper
+substrates under the same event *structure* as the interpreted oracle:
+the per-cycle bucketed event queue
 (:class:`repro.engine.simulator.BucketSimulator`) and the Message-free
-protocol lanes — and claims *observational* equality with the reference
-oracle: every measured :class:`~repro.stats.record.RunRecord` field
-except ``events_fired`` must match exactly.  The full 46-variant x
-5-workload proof runs via ``python -m repro.harness.equivalence
---observational`` (CI's check-protocol job); this module pins the
-deterministic edge cases and the mode seams:
+protocol lanes.  Both are bit-identical layers — every measured
+:class:`~repro.stats.record.RunRecord` field, ``events_fired`` included,
+matches the interpreted run.  The full 46-variant x 5-workload proof
+runs via ``python -m repro.harness.equivalence`` (CI's check-protocol
+job); this module pins the deterministic edge cases and the engine
+seams:
 
 * bucketed-queue firing order is the flat heap's, event for event —
-  including same-cycle events scheduled *during* a sweep;
+  including same-cycle events scheduled *during* a sweep — and both
+  queues stop at the same event under ``max_events``;
 * span-boundary arithmetic: a sync op landing exactly on a processor
   batch edge, FIFO-overflow bursts in mid-batch, and a Tardis lease
   expiring exactly at the read that would renew it;
-* the forcing seams: instrumentation, the invariant monitor and custom
-  network classes all force the reference oracle; Tardis keeps the
-  bucketed queue but stays off the lanes.
+* the seams: interpreted dispatch, instrumentation, the invariant
+  monitor and custom network classes all keep the flat heap and the
+  table handlers; Tardis keeps the bucketed queue but stays off the
+  lanes.
 """
-
-from dataclasses import replace
 
 import pytest
 
@@ -34,11 +35,11 @@ from repro.config import (
 )
 from repro.engine.simulator import BucketSimulator, Simulator
 from repro.errors import SimulationError
-from repro.harness.equivalence import compare_observational, relaxed_config
+from repro.harness.equivalence import compare_records, reference_config
 from repro.network.network import Network
 from repro.obs.instrument import Instrument
 from repro.stats.record import RunRecord
-from repro.system import Machine
+from repro.system import ENGINE_LAYERS, Machine
 from repro.trace.builder import TraceBuilder
 from repro.trace.ops import Program
 from repro.workloads import by_name
@@ -51,18 +52,13 @@ def _addr(block, segment=0):
     return segment * SEGMENT + block * BLOCK
 
 
-def _records(config, program):
-    """(relaxed record, reference record) for one program."""
-    relaxed = RunRecord.from_result(Machine(relaxed_config(config), program).run())
-    reference = RunRecord.from_result(Machine(config, program).run())
-    return relaxed, reference
-
-
-def _assert_observational(config, program):
-    relaxed, reference = _records(config, program)
-    diffs = compare_observational(relaxed, reference)
-    assert not diffs, f"relaxed diverged on: {', '.join(diffs)}"
-    return relaxed, reference
+def _assert_identical(config, program):
+    """The default engine's record, asserted equal to the oracle's."""
+    default = RunRecord.from_result(Machine(config, program).run())
+    oracle = RunRecord.from_result(Machine(reference_config(config), program).run())
+    diffs = compare_records(default, oracle)
+    assert not diffs, f"default engine diverged on: {', '.join(diffs)}"
+    return default
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +125,19 @@ class TestBucketSimulator:
         with pytest.raises(SimulationError, match="max_events"):
             sim.run()
 
+    def test_max_events_stops_both_queues_at_the_same_event(self):
+        # 50 events in one cycle: the bound trips mid-bucket, after the
+        # same callback on both queues.
+        stops = []
+        for sim in (Simulator(max_events=10), BucketSimulator(max_events=10)):
+            fired = []
+            for tag in range(50):
+                sim.schedule(1, fired.append, tag)
+            with pytest.raises(SimulationError, match="max_events"):
+                sim.run()
+            stops.append((sim.events_fired, len(fired)))
+        assert stops[0] == stops[1] == (11, 11)
+
     def test_negative_delay_rejected(self):
         for sim in self._both():
             with pytest.raises(SimulationError):
@@ -138,7 +147,7 @@ class TestBucketSimulator:
 
 
 # ---------------------------------------------------------------------------
-# Mode seams: who runs relaxed, and how far
+# Engine seams: who runs the queue and the lanes
 # ---------------------------------------------------------------------------
 
 
@@ -146,74 +155,59 @@ def _tiny_program():
     return by_name("producer_consumer", n_procs=4)
 
 
+def _assert_table_engine(machine):
+    assert machine.layers == frozenset()
+    assert type(machine.sim) is Simulator
+    assert not any(c.lanes for c in machine.controllers)
+
+
 class TestModeSeams:
-    def test_relaxed_machine_uses_bucketed_queue_and_lanes(self):
-        machine = Machine(
-            SystemConfig(n_processors=4, execution_mode=ExecutionMode.RELAXED),
-            _tiny_program(),
-        )
-        assert machine.relaxed
-        assert isinstance(machine.sim, BucketSimulator)
-        assert all(c.relaxed for c in machine.controllers)
+    def test_default_machine_uses_bucketed_queue_and_lanes(self):
+        # execution_mode selects nothing: both values get the full engine.
+        for mode in ExecutionMode:
+            machine = Machine(
+                SystemConfig(n_processors=4, execution_mode=mode), _tiny_program()
+            )
+            assert machine.layers == ENGINE_LAYERS
+            assert isinstance(machine.sim, BucketSimulator)
+            assert all(c.lanes for c in machine.controllers)
 
     def test_reference_machine_keeps_flat_heap(self):
-        machine = Machine(SystemConfig(n_processors=4), _tiny_program())
-        assert not machine.relaxed
-        assert type(machine.sim) is Simulator
-        assert not any(c.relaxed for c in machine.controllers)
+        config = SystemConfig(n_processors=4, compiled_dispatch=False)
+        _assert_table_engine(Machine(config, _tiny_program()))
 
     def test_instrument_forces_reference(self):
         machine = Machine(
-            SystemConfig(n_processors=4, execution_mode=ExecutionMode.RELAXED),
-            _tiny_program(),
-            instrument=Instrument(),
+            SystemConfig(n_processors=4), _tiny_program(), instrument=Instrument()
         )
-        assert not machine.relaxed
-        assert type(machine.sim) is Simulator
+        _assert_table_engine(machine)
 
     def test_invariant_monitor_forces_reference(self):
-        machine = Machine(
-            SystemConfig(
-                n_processors=4,
-                execution_mode=ExecutionMode.RELAXED,
-                check_invariants=True,
-            ),
-            _tiny_program(),
-        )
-        assert not machine.relaxed
+        config = SystemConfig(n_processors=4, check_invariants=True)
+        _assert_table_engine(Machine(config, _tiny_program()))
 
     def test_custom_network_forces_reference(self):
         class MyNetwork(Network):
             pass
 
         machine = Machine(
-            SystemConfig(n_processors=4, execution_mode=ExecutionMode.RELAXED),
-            _tiny_program(),
-            network_cls=MyNetwork,
+            SystemConfig(n_processors=4), _tiny_program(), network_cls=MyNetwork
         )
-        assert not machine.relaxed
+        _assert_table_engine(machine)
 
     def test_tardis_keeps_queue_but_not_lanes(self):
-        machine = Machine(
-            SystemConfig(
-                n_processors=4, tardis=True, execution_mode=ExecutionMode.RELAXED
-            ),
-            _tiny_program(),
-        )
-        assert machine.relaxed
+        machine = Machine(SystemConfig(n_processors=4, tardis=True), _tiny_program())
+        assert machine.layers == {"queue"}
         assert isinstance(machine.sim, BucketSimulator)
-        assert not any(c.relaxed for c in machine.controllers)
+        assert not any(c.lanes for c in machine.controllers)
 
     def test_layer_narrowing_disables_lanes(self, monkeypatch):
         # The equivalence harness localizes mismatches by narrowing the
         # layer set; queue-only machines must not bind the lanes.
-        monkeypatch.setattr(system_mod, "RELAXED_LAYERS", frozenset({"queue"}))
-        machine = Machine(
-            SystemConfig(n_processors=4, execution_mode=ExecutionMode.RELAXED),
-            _tiny_program(),
-        )
+        monkeypatch.setattr(system_mod, "ENGINE_LAYERS", frozenset({"queue"}))
+        machine = Machine(SystemConfig(n_processors=4), _tiny_program())
         assert isinstance(machine.sim, BucketSimulator)
-        assert not any(c.relaxed for c in machine.controllers)
+        assert not any(c.lanes for c in machine.controllers)
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +236,14 @@ class TestBatchBoundaries:
                 builder.barrier(1)
             program = Program("sync-edge", [b.build() for b in builders])
             config = SystemConfig(n_processors=2, quantum=quantum)
-            relaxed, _ = _assert_observational(config, program)
-            assert relaxed.misses.read_misses >= 2  # the cross reads missed
+            record = _assert_identical(config, program)
+            assert record.misses.read_misses >= 2  # the cross reads missed
 
     def test_fifo_overflow_burst_mid_batch(self):
         # A DSI-FIFO config with a tiny FIFO: every fill of a marked
         # block pushes an entry and the burst overflows the FIFO in the
         # middle of a hit span.  The overflow invalidation changes which
-        # later accesses hit — any relaxed-engine drift in when the
+        # later accesses hit — any queue or lane drift in when the
         # burst lands shows up as a miss-mix difference.
         config = SystemConfig(
             n_processors=4,
@@ -260,8 +254,8 @@ class TestBatchBoundaries:
         )
         program = by_name("sparse", n_procs=4, x_words=512, iterations=3,
                           a_words_per_proc=128)
-        relaxed, _ = _assert_observational(config, program)
-        assert relaxed.misses.fifo_overflows > 0  # the burst actually burst
+        record = _assert_identical(config, program)
+        assert record.misses.fifo_overflows > 0  # the burst actually burst
 
     def test_tardis_lease_expiry_exactly_at_read(self):
         # lease=1: every granted lease is already expiring at the next
@@ -271,7 +265,7 @@ class TestBatchBoundaries:
         # the queue's, at the lease-check cycle.
         config = SystemConfig(n_processors=4, tardis=True, lease=1)
         program = by_name("producer_consumer", n_procs=4)
-        _assert_observational(config, program)
+        _assert_identical(config, program)
 
     def test_wc_write_buffer_and_tearoff_shapes(self):
         # The lane write path's pre-action row choice (a store to the
@@ -285,30 +279,4 @@ class TestBatchBoundaries:
         ):
             config = SystemConfig(n_processors=4, cache_size=16384, **fields)
             program = by_name("producer_consumer", n_procs=4)
-            _assert_observational(config, program)
-
-
-# ---------------------------------------------------------------------------
-# Record comparison semantics
-# ---------------------------------------------------------------------------
-
-
-def test_compare_observational_ignores_only_events_fired():
-    config = SystemConfig(n_processors=4)
-    program = _tiny_program()
-    relaxed, reference = _records(config, program)
-    # Same engine twice -> nothing differs.
-    assert not compare_observational(reference, reference)
-    # The relaxed run must agree on everything measured...
-    assert not compare_observational(relaxed, reference)
-    # ...and a doctored exec_time must be caught.
-    doctored = RunRecord.from_dict(reference.to_dict())
-    doctored.exec_time += 1
-    assert "exec_time" in compare_observational(relaxed, doctored)
-
-
-def test_relaxed_config_round_trip():
-    config = SystemConfig(n_processors=4)
-    relaxed = relaxed_config(config)
-    assert relaxed.execution_mode is ExecutionMode.RELAXED
-    assert replace(relaxed, execution_mode=ExecutionMode.REFERENCE) == config
+            _assert_identical(config, program)

@@ -110,25 +110,12 @@ class TestResultCache:
         from repro.harness import runpool
 
         monkeypatch.delenv("DSI_NO_FASTPATH", raising=False)
-        monkeypatch.delenv("DSI_MODE", raising=False)
         fast = code_fingerprint()
         monkeypatch.setenv("DSI_NO_FASTPATH", "1")
         reference = code_fingerprint()
         assert fast != reference
-        assert fast == runpool._FINGERPRINTS[("fast", "default")]
-        assert reference == runpool._FINGERPRINTS[("reference", "default")]
-
-    def test_fingerprint_folds_in_engine_mode(self, monkeypatch):
-        # DSI_MODE selects the transaction-retirement engine after spec
-        # construction, so each engine must cache separately.
-        monkeypatch.delenv("DSI_NO_FASTPATH", raising=False)
-        monkeypatch.delenv("DSI_MODE", raising=False)
-        default = code_fingerprint()
-        monkeypatch.setenv("DSI_MODE", "relaxed")
-        relaxed = code_fingerprint()
-        monkeypatch.setenv("DSI_MODE", "reference")
-        reference = code_fingerprint()
-        assert len({default, relaxed, reference}) == 3
+        assert fast == runpool._FINGERPRINTS["fast"]
+        assert reference == runpool._FINGERPRINTS["reference"]
 
     def test_fingerprint_ignores_telemetry_env(self, monkeypatch):
         # Unlike the execution-mode knobs above, observability settings
@@ -136,7 +123,6 @@ class TestResultCache:
         from repro.harness import runpool
 
         monkeypatch.delenv("DSI_NO_FASTPATH", raising=False)
-        monkeypatch.delenv("DSI_MODE", raising=False)
         monkeypatch.delenv("DSI_LOG", raising=False)
         monkeypatch.delenv("DSI_PROFILE", raising=False)
         base = code_fingerprint()
