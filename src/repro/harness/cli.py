@@ -46,6 +46,7 @@ from the finished records.
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -61,8 +62,10 @@ from repro.harness.configs import (
     workload_args,
 )
 from repro.harness.experiment import ExperimentRunner
+from repro.harness.runpool import RunPool, execute_spec
+from repro.harness.runspec import RunSpec
+from repro.harness.telemetry import TelemetryConfig
 from repro.stats.ascii_chart import stacked_bars
-from repro.stats.record import RunRecord
 from repro.stats.report import format_table
 from repro.system import Machine
 from repro.trace.io import load_program, save_program
@@ -356,21 +359,6 @@ def build_parser():
         "(default 128)",
     )
     parser.add_argument(
-        "--rate",
-        type=float,
-        default=0.0,
-        metavar="R",
-        help="serve: per-tenant token-bucket refill, sweeps/second "
-        "(default 0 = unlimited)",
-    )
-    parser.add_argument(
-        "--burst",
-        type=float,
-        default=None,
-        metavar="N",
-        help="serve: per-tenant token-bucket capacity (default 2*rate)",
-    )
-    parser.add_argument(
         "--server",
         metavar="URL",
         default=None,
@@ -387,8 +375,8 @@ def build_parser():
         "--tenant",
         metavar="ID",
         default=None,
-        help="submit: tenant identity for rate limiting and accounting "
-        "(default: the local username)",
+        help="submit: tenant identity for per-tenant accounting in "
+        "/v1/stats (default: the local username)",
     )
     parser.add_argument(
         "--no-wait",
@@ -439,8 +427,6 @@ def _telemetry_config(args):
     """The harness-observatory settings from ``--log``/``--live``/
     ``--profile`` (or ``None``, letting the DSI_LOG/DSI_PROFILE
     environment resolve downstream)."""
-    from repro.harness.telemetry import TelemetryConfig
-
     explicit = TelemetryConfig(
         log_path=getattr(args, "log", None),
         live=getattr(args, "live", False),
@@ -591,7 +577,6 @@ def _check_protocol(args):
     the model cannot reach is either dead or misclassified).
     """
     from concurrent.futures import ProcessPoolExecutor
-    from functools import partial
 
     from repro.coherence.explore import check_variant
     from repro.coherence.variants import NO_BUGS, enumerate_variants, tardis_variants
@@ -608,7 +593,7 @@ def _check_protocol(args):
     if args.bug:
         bugs = dataclasses.replace(NO_BUGS, **{args.bug: True})
     configs = tuple((n, args.ops) for n in args.nodes) if args.nodes else None
-    check = partial(
+    check = functools.partial(
         check_variant, bugs=bugs, configs=configs, max_states=args.max_states
     )
     jobs = args.jobs or os.cpu_count() or 1
@@ -708,12 +693,16 @@ def _load_run_program(args):
 
 def _make_instrument(args):
     """An :class:`~repro.obs.Instrument` when any observability output was
-    requested, else None (probes stay disabled: zero overhead)."""
-    if not (args.perfetto or args.metrics):
+    requested, else None (probes stay disabled: zero overhead).
+    ``--show-trace`` feeds a MessageTracer from the instrument's
+    ``message_send`` probe, so it runs instrumented too."""
+    if not (args.perfetto or args.metrics or args.show_trace):
         return None
     from repro.obs import Instrument
+    from repro.stats.tracer import MessageTracer
 
-    return Instrument()
+    tracer = MessageTracer(max_events=args.show_trace) if args.show_trace else None
+    return Instrument(tracer=tracer)
 
 
 def _write_obs_outputs(args, instrument, extra):
@@ -756,102 +745,6 @@ def _protocol_overrides(args):
     return overrides
 
 
-class _RunObservatory:
-    """Harness telemetry around one directly-built :class:`Machine` (the
-    ``run`` verb bypasses the RunPool, so the sweep bracketing, heartbeat
-    sampling and profiling happen parent-side here)."""
-
-    def __init__(self, telemetry_config, workload, label):
-        import hashlib
-
-        from repro.harness import telemetry
-
-        self.T = telemetry
-        self.cfg = telemetry_config
-        self.workload = workload
-        self.label = label
-        self.key = hashlib.sha256(f"{workload}|{label}".encode("utf-8")).hexdigest()
-        sinks = []
-        if self.cfg.log_path:
-            sinks.append(telemetry.JsonlSink(self.cfg.log_path))
-        if self.cfg.live:
-            sinks.append(telemetry.LiveDashboard(stream=self.cfg.stream))
-        self.hub = telemetry.TelemetryHub(sinks)
-        self.sampler = None
-        self.profiler = None
-
-    def start(self, machine):
-        from repro.harness.runpool import code_fingerprint
-
-        T, hub = self.T, self.hub
-        hub.begin_sweep(T.new_sweep_id())
-        hub.emit(T.make_event(
-            "sweep_begin", specs=1, pending=1, jobs=1,
-            fingerprint=code_fingerprint()[:16],
-        ))
-        common = dict(spec_key=self.key, workload=self.workload, label=self.label)
-        hub.emit(T.make_event("run_queued", **common))
-        hub.emit(T.make_event("run_started", worker=os.getpid(), **common))
-        self.sampler = T.HeartbeatSampler(
-            hub.emit, self.key, interval=self.cfg.heartbeat_interval
-        )
-        self.sampler.attach(machine)
-        if self.cfg.profile == "cprofile":
-            import cProfile
-
-            self.profiler = cProfile.Profile()
-            self.profiler.enable()
-
-    def finish(self, config, record=None, error=None, wall=0.0):
-        T, hub = self.T, self.hub
-        profile_path = None
-        try:
-            if self.profiler is not None:
-                self.profiler.disable()
-                os.makedirs(self.cfg.profile_dir, exist_ok=True)
-                profile_path = self.T.profile_sidecar(self.cfg.profile_dir, self.key)
-                self.profiler.dump_stats(profile_path)
-            if self.sampler is not None:
-                self.sampler.detach()
-            common = dict(spec_key=self.key, workload=self.workload, label=self.label)
-            if error is not None:
-                import traceback
-
-                hub.emit(T.make_event(
-                    "run_failed",
-                    error=f"{type(error).__name__}: {error}",
-                    traceback="".join(traceback.format_exception(
-                        type(error), error, error.__traceback__
-                    )),
-                    **common,
-                ))
-            elif record is not None:
-                hub.emit(T.make_event(
-                    "run_finished",
-                    cache_kb=config.cache_size // 1024,
-                    net=config.network_latency,
-                    exec_time=record.exec_time,
-                    wall_time_s=record.wall_time_s,
-                    sim_cycles_per_s=record.sim_cycles_per_s,
-                    profile=profile_path,
-                    **common,
-                ))
-            hub.emit(T.make_event(
-                "sweep_end",
-                executed=0 if error is not None else 1,
-                cache_hits=0,
-                failed=1 if error is not None else 0,
-                wall_s=wall,
-            ))
-            hub.end_sweep()
-        finally:
-            hub.close()
-        if self.cfg.log_path:
-            print(f"# wrote telemetry log -> {self.cfg.log_path} "
-                  f"(analyze with: dsi-sim report {self.cfg.log_path})",
-                  file=sys.stderr)
-
-
 def _run_one(args):
     """One simulation with the full statistics dump."""
     program = _load_run_program(args)
@@ -865,36 +758,28 @@ def _run_one(args):
         **_protocol_overrides(args),
     )
     instrument = _make_instrument(args)
-    telemetry_config = _telemetry_config(args)
-    observatory = (
-        _RunObservatory(telemetry_config, program.name, config.describe())
-        if telemetry_config is not None
-        else None
+    telemetry = _telemetry_config(args)
+    # A one-spec pool: the run is executed and narrated (--log, --live,
+    # --profile) by the same per-spec path as every sweep.
+    pool = RunPool(
+        jobs=1,
+        telemetry=telemetry or TelemetryConfig(),
+        executor=functools.partial(execute_spec, program=program, instrument=instrument),
     )
-    started = time.time()
-    machine = Machine(config, program, instrument=instrument)
-    tracer = None
-    if args.show_trace:
-        from repro.stats.tracer import MessageTracer, attach_tracer
-
-        tracer = attach_tracer(machine, MessageTracer(max_events=args.show_trace))
-    if observatory is not None:
-        observatory.start(machine)
     try:
-        result = machine.run()
-    except Exception as exc:
-        if observatory is not None:
-            observatory.finish(config, error=exc, wall=time.time() - started)
-        raise
-    wall = time.time() - started
-    record = RunRecord.from_result(result)
-    record.set_timing(wall)
-    if observatory is not None:
-        observatory.finish(config, record=record, wall=wall)
+        record = pool.run(RunSpec.create(program.name, config))
+    finally:
+        pool.close()
+    if telemetry is not None and telemetry.log_path:
+        print(f"# wrote telemetry log -> {telemetry.log_path} "
+              f"(analyze with: dsi-sim report {telemetry.log_path})",
+              file=sys.stderr)
+    wall = record.wall_time_s
+    tracer = instrument.tracer if instrument is not None else None
     extra = {
         "workload": program.describe(),
         "protocol": config.describe(),
-        "wall_time_s": record.wall_time_s,
+        "wall_time_s": wall,
         "sim_cycles_per_s": record.sim_cycles_per_s,
     }
     if tracer is not None:
@@ -917,24 +802,24 @@ def _run_one(args):
     print(f"workload: {program.describe()}")
     print(f"protocol: {config.describe()}  cache={config.cache_size // 1024}KB "
           f"net={config.network_latency}\n")
-    fractions = result.aggregate_breakdown().fractions()
+    fractions = record.aggregate_breakdown().fractions()
     rows = [[category, f"{fractions[category]:.3f}"] for category in fractions if fractions[category]]
     print(format_table(["category", "fraction"], rows, title="execution-time breakdown"))
     print()
-    message_rows = sorted(result.messages.network.items())
+    message_rows = sorted(record.messages.network.items())
     print(format_table(["message", "count"], message_rows, title="network messages"))
     print()
-    print(f"execution time: {result.exec_time} cycles")
-    print(f"miss rate: {result.misses.miss_rate():.4f}")
-    print(f"self-invalidations: {result.misses.self_invalidations}")
-    print(f"directory occupancy: {result.dir_occupancy():.3f}")
+    print(f"execution time: {record.exec_time} cycles")
+    print(f"miss rate: {record.misses.miss_rate():.4f}")
+    print(f"self-invalidations: {record.misses.self_invalidations}")
+    print(f"directory occupancy: {record.dir_occupancy():.3f}")
     if record.sim_cycles_per_s:
         print(
-            f"({result.events_fired} events in {wall:.1f}s, "
+            f"({record.events_fired} events in {wall:.1f}s, "
             f"{record.sim_cycles_per_s:,.0f} cycles/s)"
         )
     else:
-        print(f"({result.events_fired} events in {wall:.1f}s)")
+        print(f"({record.events_fired} events in {wall:.1f}s)")
     return 0
 
 
@@ -948,7 +833,7 @@ def _trace(args):
     additionally export the trace.
     """
     from repro.obs import CausalInstrument, Instrument, ascii_timeline, format_txn
-    from repro.stats.tracer import MessageTracer, attach_tracer
+    from repro.stats.tracer import MessageTracer
 
     if args.target and not args.workload and not args.trace:
         args.workload = args.target
@@ -963,20 +848,19 @@ def _trace(args):
         **_protocol_overrides(args),
     )
     txns = set(args.txn) if args.txn else None
+    tracer = MessageTracer(
+        blocks=args.block,
+        txns=txns,
+        max_events=args.show_trace or (200 if (args.block or txns) else 40),
+    )
     # --txn needs the causal stitcher; ids are deterministic across
     # instrumented runs, so an id from 'dsi-sim why' replays here.
-    instrument = CausalInstrument(keep_txns=txns) if txns else Instrument()
-    started = time.time()
-    machine = Machine(config, program, instrument=instrument)
-    tracer = attach_tracer(
-        machine,
-        MessageTracer(
-            blocks=args.block,
-            txns=txns,
-            max_events=args.show_trace or (200 if (args.block or txns) else 40),
-        ),
+    instrument = (
+        CausalInstrument(keep_txns=txns, tracer=tracer) if txns
+        else Instrument(tracer=tracer)
     )
-    result = machine.run()
+    started = time.time()
+    result = Machine(config, program, instrument=instrument).run()
     wall = time.time() - started
     print(f"workload: {program.describe()}")
     print(f"protocol: {config.describe()}  cache={config.cache_size // 1024}KB "
@@ -1362,9 +1246,9 @@ def _bench(args):
 def _serve(args):
     """Run the multi-tenant sweep server (``dsi-sim serve``).
 
-    Stands up the broker (persistent workers, bounded queue, per-tenant
-    rate limiting), seeds the named-sweep registry from the bench suites
-    and the paper planners, and serves the /v1 HTTP API until
+    Stands up the broker (persistent workers, bounded queue as the one
+    admission limit), seeds the named-sweep registry from the bench
+    suites and the paper planners, and serves the /v1 HTTP API until
     interrupted.  See docs/SERVICE.md."""
     from repro.service.app import DsiService
     from repro.service.registry import default_registry
@@ -1376,18 +1260,12 @@ def _serve(args):
         jobs=args.jobs or max(2, (os.cpu_count() or 2) // 2),
         cache_dir=args.cache_dir,
         queue_depth=args.queue_depth,
-        rate=args.rate,
-        burst=args.burst,
         log_path=args.log,
         quiet=not args.verbose,
     )
-    limits = (
-        f"rate={args.rate}/s burst={service.broker.limiter.burst:g}"
-        if args.rate > 0 else "rate=unlimited"
-    )
     print(
         f"# dsi-sim serve on {service.url} "
-        f"(jobs={service.broker.jobs}, queue_depth={args.queue_depth}, {limits}, "
+        f"(jobs={service.broker.jobs}, queue_depth={args.queue_depth}, "
         f"cache={'on: ' + args.cache_dir if args.cache_dir else 'off'}, "
         f"{len(service.registry)} registered sweeps)",
         file=sys.stderr, flush=True,
@@ -1437,8 +1315,6 @@ def _submit(args):
                 args.protocol, cache=args.cache, latency=args.latency,
                 n_procs=procs, **_protocol_overrides(args),
             )
-            from repro.harness.runspec import RunSpec
-
             accepted = client.submit_specs(
                 [RunSpec.create(args.workload, config, **spec_args)]
             )

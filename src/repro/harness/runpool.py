@@ -1,6 +1,16 @@
 """Batch execution of :class:`~repro.harness.runspec.RunSpec` values.
 
-Two layers:
+Three layers:
+
+:func:`run_spec`
+    The one per-spec run lifecycle.  Every executor — the
+    :class:`RunPool` (serial and in pool workers), the sweep service's
+    worker threads and ``dsi-sim run`` — executes and narrates a spec
+    through it: ``run_started``, heartbeats and the optional cProfile
+    around the run, the result-cache write, and the terminal
+    ``run_finished``/``run_failed`` event.  :func:`run_event` and
+    :func:`failure_event` are the only builders of per-spec lifecycle
+    events, so every executor's stream carries the same fields.
 
 :class:`ResultCache`
     A content-addressed on-disk cache.  Each record lands in
@@ -18,33 +28,34 @@ Two layers:
     trace once per worker.
 
 Every sweep narrates itself through the harness observatory
-(:mod:`repro.harness.telemetry`): the pool emits
-``sweep_begin``/``run_queued``/``run_cached``/``run_finished``/
-``run_failed``/``sweep_end`` events parent-side, while pool workers ship
-``run_started`` and periodic ``heartbeat`` events back over a
-``multiprocessing.Queue`` installed by the executor initializer.  The
-``--verbose`` stderr lines are one sink on that same stream, so logging
-and structured telemetry cannot drift.  A failing or dying worker never
-hangs the sweep: the pool drains every submitted future, emits one
-``run_failed`` (with the remote traceback) per casualty, and re-raises
-the first error only after the drain.
+(:mod:`repro.harness.telemetry`): the pool emits ``sweep_begin``/
+``run_queued``/``run_cached``/``sweep_end`` and each run's terminal
+event parent-side, while pool workers ship ``run_started`` and periodic
+``heartbeat`` events back over a ``multiprocessing.Queue`` installed by
+the executor initializer.  The ``--verbose`` stderr lines are one sink
+on that same stream, so logging and structured telemetry cannot drift.
+A failing spec or a dying worker never hangs the sweep: the pool drains
+every spec, emits one ``run_failed`` (with the traceback) per casualty,
+and re-raises the first error only after the drain.
 """
 
+import cProfile
 import hashlib
 import json
 import os
+import sys
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 import repro
 from repro.harness.telemetry import (
+    HeartbeatSampler,
     JsonlSink,
     LiveDashboard,
     TelemetryConfig,
     TelemetryHub,
     VerboseSink,
-    WorkerTelemetry,
     make_event,
     new_sweep_id,
     profile_sidecar,
@@ -55,53 +66,146 @@ from repro.stats.record import RunRecord
 #: Lives at module scope so pool workers reuse programs across tasks.
 _PROGRAMS = {}
 
-#: Per-worker telemetry half (run_started + heartbeats + profiling),
-#: installed by :func:`_init_worker` in pool processes; ``None`` keeps
-#: the zero-overhead bare path.
-_WORKER_TELEMETRY = None
+#: :func:`run_spec` keywords for pool workers (telemetry emit hook,
+#: heartbeat and profile settings), installed by :func:`_init_worker`;
+#: empty keeps the zero-overhead bare path.
+_WORKER_OPTIONS = {}
 
 
-def execute_spec(spec, observer=None):
+def execute_spec(spec, observer=None, program=None, instrument=None):
     """Build (or reuse) the program and run one spec, stamping run
     telemetry (wall time, simulated cycles per host second) into the
     record.  Top-level so the process pool can pickle it.  ``observer``
-    passes through to :meth:`RunSpec.execute` (heartbeat sampling)."""
-    key = (spec.workload, spec.workload_args)
-    program = _PROGRAMS.get(key)
+    and ``instrument`` pass through to :meth:`RunSpec.execute`; a given
+    ``program`` bypasses the memo."""
     if program is None:
-        program = _PROGRAMS[key] = spec.build_program()
+        key = (spec.workload, spec.workload_args)
+        program = _PROGRAMS.get(key)
+        if program is None:
+            program = _PROGRAMS[key] = spec.build_program()
     started = time.time()
-    record = spec.execute(program, observer=observer)
+    record = spec.execute(program, observer=observer, instrument=instrument)
     record.set_timing(time.time() - started)
     return record
 
 
-def _init_worker(queue, heartbeat_interval, profile, profile_dir):
-    """Pool-worker initializer: installs the worker telemetry half,
-    emitting into the parent's queue (``queue.put`` is the emit hook —
-    the parent hub's pump thread stamps ``seq``/``sweep`` on arrival)."""
-    global _WORKER_TELEMETRY
-    _WORKER_TELEMETRY = WorkerTelemetry(
-        queue.put,
-        heartbeat_interval=heartbeat_interval,
-        profile=profile,
-        profile_dir=profile_dir,
+def run_event(type_, spec, record=None, **fields):
+    """One schema-v1 lifecycle event for ``spec`` (``run_queued``,
+    ``run_started``, ``run_cached``, ``run_finished``, ``run_failed``).
+    A ``record`` adds the terminal measurement fields; ``fields`` the
+    type's remaining ones."""
+    config = spec.config
+    event = make_event(
+        type_, spec_key=spec.key(), workload=spec.workload,
+        label=config.describe(), **fields,
+    )
+    if record is not None:
+        event.update(
+            cache_kb=config.cache_size // 1024,
+            net=config.network_latency,
+            exec_time=record.exec_time,
+            wall_time_s=record.wall_time_s,
+        )
+    return event
+
+
+def failure_event(spec, exc):
+    """The ``run_failed`` event for a spec that raised ``exc``."""
+    return run_event(
+        "run_failed", spec,
+        error=f"{type(exc).__name__}: {exc}",
+        traceback="".join(
+            traceback.format_exception(type(exc), exc, exc.__traceback__)
+        ),
     )
 
 
-def _telemetry_execute(spec, telemetry=None):
-    """Run one spec under the installed worker telemetry (if any):
-    ``run_started``, a heartbeat sampler attached for the duration, and
-    an optional cProfile sidecar.  Falls back to the bare path when
-    telemetry is off, so untelemetered sweeps pay nothing."""
-    telem = telemetry if telemetry is not None else _WORKER_TELEMETRY
-    if telem is None:
-        return execute_spec(spec)
-    sampler, profiler = telem.start_run(spec)
+def run_spec(spec, cache=None, emit=None, worker=None, heartbeat_interval=0.0,
+             profile_dir=None, execute=None):
+    """Execute and narrate one spec: the only per-spec run lifecycle.
+
+    With ``emit`` given, emits ``run_started`` and (``heartbeat_interval``
+    > 0) attaches a :class:`HeartbeatSampler`; a ``profile_dir`` wraps
+    the run in cProfile and dumps a sidecar there.  ``execute(spec,
+    observer)`` runs the simulation (default :func:`execute_spec`, looked
+    up at call time).  A fresh record is written to ``cache`` (see
+    :func:`_store`).  ``worker`` names the executing worker in events
+    (default: this process id).
+
+    Returns ``(record, event, error)``: ``event`` is the terminal
+    ``run_finished`` — or, when the run raised, ``run_failed`` with
+    ``record`` None and the exception as ``error``.  The caller emits
+    ``event`` into whichever stream the run's sweep lives in; without
+    ``emit`` nobody is listening and ``event`` is None.
+    """
+    if worker is None:
+        worker = os.getpid()
+    sampler = None
+    if emit is not None:
+        emit(run_event("run_started", spec, worker=worker))
+        if heartbeat_interval:
+            sampler = HeartbeatSampler(
+                emit, spec.key(), worker=worker, interval=heartbeat_interval
+            )
+    profiler = cProfile.Profile() if profile_dir else None
+    record = error = None
+    if profiler is not None:
+        profiler.enable()
     try:
-        return execute_spec(spec, observer=sampler)
+        record = (execute or execute_spec)(spec, observer=sampler)
+    except Exception as exc:
+        error = exc
     finally:
-        telem.end_run(spec, sampler, profiler)
+        if profiler is not None:
+            profiler.disable()
+    profile = None
+    if profiler is not None:
+        os.makedirs(profile_dir, exist_ok=True)
+        profile = profile_sidecar(profile_dir, spec.key())
+        profiler.dump_stats(profile)
+    if error is None and cache is not None:
+        _store(cache, spec, record)
+    if emit is None:
+        return record, None, error
+    if error is not None:
+        return None, failure_event(spec, error), error
+    event = run_event(
+        "run_finished", spec, record,
+        sim_cycles_per_s=record.sim_cycles_per_s, profile=profile,
+    )
+    return record, event, None
+
+
+def _store(cache, spec, record):
+    """Write a fresh record to the cache.  A failed write never costs the
+    finished record: the run still counts, the sweep completes, and the
+    first failure per cache is reported on stderr (later ones are not)."""
+    try:
+        cache.put(spec, record)
+    except OSError as exc:
+        if cache.write_error is None:
+            cache.write_error = exc
+            print(
+                f"# result cache write failed, continuing uncached: {exc}",
+                file=sys.stderr,
+            )
+
+
+def _init_worker(queue, heartbeat_interval, profile_dir):
+    """Pool-worker initializer: :func:`run_spec` emits into the parent's
+    queue (``queue.put`` is the emit hook — the parent hub's pump thread
+    stamps ``seq``/``sweep`` on arrival)."""
+    global _WORKER_OPTIONS
+    _WORKER_OPTIONS = {
+        "emit": queue.put,
+        "heartbeat_interval": heartbeat_interval,
+        "profile_dir": profile_dir,
+    }
+
+
+def _pool_run(spec, execute):
+    """One pool task: the per-spec path under the worker's telemetry."""
+    return run_spec(spec, execute=execute, **_WORKER_OPTIONS)
 
 
 _FINGERPRINTS = {}
@@ -147,6 +251,7 @@ class ResultCache:
     def __init__(self, root, fingerprint=None):
         self.root = root
         self.fingerprint = fingerprint or code_fingerprint()
+        self.write_error = None  # first failed put (see _store)
 
     def path_for(self, spec):
         return self.path_for_key(spec.key())
@@ -205,10 +310,13 @@ class RunPool:
         to consult ``DSI_LOG``/``DSI_PROFILE``).  Activates the JSONL
         log, the live dashboard, worker heartbeats and host profiling.
         Never affects results or cache keys.
+    executor:
+        ``f(spec, observer=None) -> RunRecord`` run by :func:`run_spec`
+        (default :func:`execute_spec`); it must pickle when ``jobs > 1``.
     """
 
     def __init__(self, jobs=None, cache_dir=None, use_cache=True, verbose=False,
-                 fingerprint=None, telemetry=None):
+                 fingerprint=None, telemetry=None, executor=None):
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -219,6 +327,7 @@ class RunPool:
         )
         self.verbose = verbose
         self.telemetry = TelemetryConfig.resolve(telemetry)
+        self.executor = executor
         self.executed = 0
         self.cache_hits = 0
         self.failed = 0
@@ -243,10 +352,10 @@ class RunPool:
     def run_batch(self, specs):
         """Execute (or recall) every spec; returns {spec: RunRecord}.
 
-        One telemetry sweep brackets the batch.  Worker failures do not
-        abort the fan-out: every pending future is drained (each miss
-        emitting ``run_failed``), ``sweep_end`` is always emitted, and
-        the first error re-raises after the drain.
+        One telemetry sweep brackets the batch.  Failures do not abort
+        it: every pending spec is drained (each failure emitting
+        ``run_failed``), ``sweep_end`` is always emitted, and the first
+        error re-raises after the drain.
         """
         records = {}
         pending = []
@@ -276,28 +385,26 @@ class RunPool:
                     )[:16],
                 )
             )
+        first_error = None
         try:
             for spec, cached in cached_records:
                 self.cache_hits += 1
                 records[spec] = cached
                 self._note(spec, cached, cached=True)
-                self._emit_terminal("run_cached", spec, cached)
+                if self.hub is not None:
+                    self.hub.emit(run_event("run_cached", spec, cached))
             if self.hub is not None:
                 for spec in pending:
-                    self.hub.emit(
-                        make_event(
-                            "run_queued",
-                            spec_key=spec.key(),
-                            workload=spec.workload,
-                            label=spec.config.describe(),
-                        )
-                    )
-            for spec, record in self._execute_all(pending):
+                    self.hub.emit(run_event("run_queued", spec))
+            for spec, (record, event, error) in self._execute_all(pending):
+                if event is not None:
+                    self.hub.emit(event)
+                if error is not None:
+                    self.failed += 1
+                    first_error = first_error or error
+                    continue
                 self.executed += 1
                 self._note(spec, record, cached=False)
-                self._emit_terminal("run_finished", spec, record)
-                if self.cache:
-                    self.cache.put(spec, record)
                 records[spec] = record
         finally:
             if self.hub is not None:
@@ -311,6 +418,8 @@ class RunPool:
                     )
                 )
                 self.hub.end_sweep()
+        if first_error is not None:
+            raise first_error
         return records
 
     def run(self, spec):
@@ -336,72 +445,47 @@ class RunPool:
 
     # ------------------------------------------------------------------
     def _execute_all(self, pending):
+        """Yield ``(spec, run_spec outcome)`` for every pending spec."""
         if not pending:
             return
+        cfg = self.telemetry
+        heartbeat = cfg.heartbeat_interval if cfg is not None else 0.0
+        profile_dir = cfg.profile_dir if cfg is not None else None
         if self.jobs == 1 or len(pending) == 1:
-            yield from self._execute_serial(pending)
-        else:
-            yield from self._execute_parallel(pending)
-
-    def _execute_serial(self, pending):
-        telem = None
-        if self.hub is not None and self.telemetry is not None:
-            telem = WorkerTelemetry(
-                self.hub.emit,
-                heartbeat_interval=self.telemetry.heartbeat_interval,
-                profile=self.telemetry.profile,
-                profile_dir=self.telemetry.profile_dir,
-            )
-        for spec in pending:
-            try:
-                record = _telemetry_execute(spec, telemetry=telem)
-            except Exception as exc:
-                self.failed += 1
-                self._emit_failure(spec, exc)
-                raise
-            yield spec, record
-
-    def _execute_parallel(self, pending):
-        workers = min(self.jobs, len(pending))
-        initializer = None
-        initargs = ()
-        if self.hub is not None and self.telemetry is not None:
+            emit = self.hub.emit if self.hub is not None else None
+            for spec in pending:
+                yield spec, run_spec(
+                    spec, cache=self.cache, emit=emit, heartbeat_interval=heartbeat,
+                    profile_dir=profile_dir, execute=self.executor,
+                )
+            return
+        initializer, initargs = None, ()
+        if self.hub is not None:
             initializer = _init_worker
-            initargs = (
-                self.hub.worker_queue(),
-                self.telemetry.heartbeat_interval,
-                self.telemetry.profile,
-                self.telemetry.profile_dir,
-            )
-        first_error = None
+            initargs = (self.hub.worker_queue(), heartbeat, profile_dir)
         try:
             with ProcessPoolExecutor(
-                max_workers=workers, initializer=initializer, initargs=initargs
-            ) as executor:
-                futures = [
-                    executor.submit(_telemetry_execute, spec) for spec in pending
-                ]
+                max_workers=min(self.jobs, len(pending)),
+                initializer=initializer, initargs=initargs,
+            ) as pool:
+                futures = [pool.submit(_pool_run, spec, self.executor) for spec in pending]
                 for spec, future in zip(pending, futures):
                     try:
-                        record = future.result()
-                    except Exception as exc:
-                        # Drain every remaining future (a dead worker
-                        # breaks them all) so no result — or telemetry
-                        # byte — is lost before we re-raise.
-                        self.failed += 1
-                        self._emit_failure(spec, exc)
-                        if first_error is None:
-                            first_error = exc
-                        continue
-                    yield spec, record
+                        outcome = future.result()
+                    except Exception as exc:  # the worker died
+                        event = failure_event(spec, exc) if self.hub is not None else None
+                        outcome = (None, event, exc)
+                    # The parent writes the cache, so one process owns
+                    # the write-failure report for the whole sweep.
+                    if outcome[0] is not None and self.cache is not None:
+                        _store(self.cache, spec, outcome[0])
+                    yield spec, outcome
         finally:
             # The executor has shut down: every worker write hit the
             # queue's pipe before this sentinel, so the pump drains
             # completely before parking.
             if self.hub is not None:
                 self.hub.stop_pump()
-        if first_error is not None:
-            raise first_error
 
     # ------------------------------------------------------------------
     def _note(self, spec, record, cached):
@@ -415,43 +499,4 @@ class RunPool:
                 "wall_time_s": record.wall_time_s,
                 "sim_cycles_per_s": record.sim_cycles_per_s,
             }
-        )
-
-    def _profile_path(self, spec):
-        if self.telemetry is None or not self.telemetry.profile:
-            return None
-        path = profile_sidecar(self.telemetry.profile_dir, spec.key())
-        return path if os.path.exists(path) else None
-
-    def _emit_terminal(self, type_, spec, record):
-        if self.hub is None:
-            return
-        config = spec.config
-        fields = {
-            "spec_key": spec.key(),
-            "workload": spec.workload,
-            "label": config.describe(),
-            "cache_kb": config.cache_size // 1024,
-            "net": config.network_latency,
-            "exec_time": record.exec_time,
-            "wall_time_s": record.wall_time_s,
-        }
-        if type_ == "run_finished":
-            fields["sim_cycles_per_s"] = record.sim_cycles_per_s
-            fields["profile"] = self._profile_path(spec)
-        self.hub.emit(make_event(type_, **fields))
-
-    def _emit_failure(self, spec, exc):
-        if self.hub is None:
-            return
-        tb = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
-        self.hub.emit(
-            make_event(
-                "run_failed",
-                spec_key=spec.key(),
-                workload=spec.workload,
-                label=spec.config.describe(),
-                error=f"{type(exc).__name__}: {exc}",
-                traceback=tb,
-            )
         )

@@ -68,9 +68,10 @@ class RunSpec:
         """Regenerate the workload program (deterministic by seed)."""
         return by_name(self.workload, **self.args_dict())
 
-    def execute(self, program=None, observer=None):
+    def execute(self, program=None, observer=None, instrument=None):
         """Run the simulation this spec describes; returns a
-        :class:`~repro.stats.record.RunRecord`.
+        :class:`~repro.stats.record.RunRecord`.  ``instrument`` attaches
+        an :class:`~repro.obs.Instrument` to the machine.
 
         ``observer`` is the zero-overhead-when-disabled telemetry hook
         (``observer is not None``, mirroring the probe bus guard): an
@@ -81,7 +82,7 @@ class RunSpec:
         """
         if program is None:
             program = self.build_program()
-        machine = Machine(self.config, program)
+        machine = Machine(self.config, program, instrument=instrument)
         if observer is not None:
             observer.attach(machine)
             try:

@@ -44,14 +44,14 @@ Post-hoc analysis
     once, zero lost events.
 
 Host profiling
-    ``--profile cprofile`` wraps each worker run and writes a per-run
+    ``--profile cprofile`` wraps each run
+    (:func:`repro.harness.runpool.run_spec`) and writes a per-run
     ``pstats`` sidecar keyed by the RunSpec content hash
     (:func:`profile_sidecar`); :func:`profile_table` merges any number
     of sidecars into one top-N hot-function table for ``dsi-sim
     report`` and ``dsi-sim bench``.
 """
 
-import cProfile
 import json
 import multiprocessing
 import os
@@ -205,7 +205,8 @@ class TelemetryConfig:
 
     ``log_path``/``live``/``profile`` each independently activate the
     hub; ``heartbeat_interval`` (host seconds) throttles the worker
-    sampler (``None``/``0`` disables heartbeats).  None of these fields
+    sampler (``None``/``0`` disables heartbeats); ``profile_dir`` is
+    ``None`` unless profiling.  None of these fields
     may influence simulation results — the result cache's code
     fingerprint deliberately ignores them, and the equivalence harness
     proves records identical with and without telemetry.
@@ -218,10 +219,11 @@ class TelemetryConfig:
         self.log_path = log_path
         self.live = live
         self.profile = profile
-        self.profile_dir = profile_dir or (
-            (log_path + ".profiles") if (profile and log_path) else
-            ("dsi-profiles" if profile else None)
-        )
+        self.profile_dir = None  # profiling on <=> a sidecar directory
+        if profile:
+            self.profile_dir = profile_dir or (
+                log_path + ".profiles" if log_path else "dsi-profiles"
+            )
         self.heartbeat_interval = heartbeat_interval
         self.stream = stream
 
@@ -640,7 +642,7 @@ def new_sweep_id():
 
 
 # ----------------------------------------------------------------------
-# Worker side: heartbeat sampling and profiling
+# Worker side: heartbeat sampling
 # ----------------------------------------------------------------------
 class HeartbeatSampler:
     """Samples live machine counters from a side thread while a spec runs.
@@ -704,57 +706,6 @@ class HeartbeatSampler:
                 self.sample()
             except Exception:  # pragma: no cover - a dying machine mid-read
                 return
-
-
-class WorkerTelemetry:
-    """Per-process worker half of the observatory.
-
-    Installed in every pool worker by the ``RunPool`` initializer (and
-    parent-side for serial runs): emits ``run_started``, attaches a
-    :class:`HeartbeatSampler`, and optionally wraps the run in
-    ``cProfile``, dumping a pstats sidecar keyed by the spec hash.
-    """
-
-    def __init__(self, emit, heartbeat_interval=0.5, profile=None, profile_dir=None):
-        self.emit = emit
-        self.heartbeat_interval = heartbeat_interval
-        self.profile = profile
-        self.profile_dir = profile_dir
-
-    def start_run(self, spec):
-        self.emit(
-            make_event(
-                "run_started",
-                spec_key=spec.key(),
-                workload=spec.workload,
-                label=spec.config.describe(),
-                worker=os.getpid(),
-            )
-        )
-        sampler = None
-        if self.heartbeat_interval:
-            sampler = HeartbeatSampler(
-                self.emit, spec.key(), interval=self.heartbeat_interval
-            )
-        profiler = None
-        if self.profile == "cprofile":
-            profiler = cProfile.Profile()
-            profiler.enable()
-        return sampler, profiler
-
-    def end_run(self, spec, sampler, profiler):
-        """Stop instruments and write the profile sidecar; returns the
-        sidecar path (``None`` when not profiling)."""
-        if profiler is not None:
-            profiler.disable()
-        if sampler is not None:
-            sampler.detach()
-        if profiler is None:
-            return None
-        os.makedirs(self.profile_dir, exist_ok=True)
-        path = profile_sidecar(self.profile_dir, spec.key())
-        profiler.dump_stats(path)
-        return path
 
 
 # ----------------------------------------------------------------------

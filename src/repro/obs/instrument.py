@@ -86,13 +86,17 @@ class Instrument:
     max_spans:
         Bound on retained finished spans (latency histograms keep
         accumulating past it).
+    tracer:
+        Optional :class:`~repro.stats.tracer.MessageTracer` fed from the
+        ``message_send`` probe — every message the machine sends, on
+        whichever engine path sent it.
     """
 
     #: Span categories, exposed on the class for consumers holding an
     #: instance (the CLI's latency summary iterates them).
     CATEGORIES = CATEGORIES
 
-    def __init__(self, max_message_events=100_000, max_spans=200_000):
+    def __init__(self, max_message_events=100_000, max_spans=200_000, tracer=None):
         self.sim = None
         self.n_processors = 0
         self.counts = Counter()
@@ -107,6 +111,7 @@ class Instrument:
         self.message_events = []
         self.max_message_events = max_message_events
         self.messages_dropped = 0
+        self.tracer = tracer
         self._dir_open = Counter()
         self._next_txn_id = 0
 
@@ -158,6 +163,8 @@ class Instrument:
                 )
             else:
                 self.messages_dropped += 1
+        if self.tracer is not None:
+            self.tracer.record(self.now, msg, not is_network)
 
     def message_receive(self, msg, is_network):
         self.counts["message_receive"] += 1

@@ -9,18 +9,17 @@ reachable over HTTP:
 
 :mod:`repro.service.broker`
     The :class:`~repro.service.broker.SweepBroker`: a persistent worker
-    pool shared across requests, a bounded FIFO job queue, in-flight
-    dedupe keyed by spec content address (identical specs from different
-    tenants share one execution), and per-sweep telemetry hubs with
-    streaming-subscriber fan-out.
+    pool shared across requests running each spec through the harness's
+    per-spec path (:func:`~repro.harness.runpool.run_spec`), a bounded
+    FIFO job queue whose depth is the one admission limit (429 +
+    Retry-After), in-flight dedupe keyed by spec content address
+    (identical specs from different tenants share one execution), and
+    per-sweep telemetry hubs with streaming-subscriber fan-out.
 
 :mod:`repro.service.registry`
     A hierarchical named-sweep registry (``bench/smoke``,
     ``paper/figure3``, ...) seeded from the pinned bench suites and the
-    paper figure/table planners, with register/lookup/list.
-
-:mod:`repro.service.ratelimit`
-    Per-tenant token buckets behind the 429 + Retry-After path.
+    paper figure/table planners, with lookup/list.
 
 :mod:`repro.service.app`
     The stdlib HTTP façade (:class:`~repro.service.app.DsiService`,
@@ -39,7 +38,6 @@ SERVICE_SCHEMA_VERSION = 1
 
 from repro.service.broker import BrokerClosedError, RejectedError, SweepBroker  # noqa: E402
 from repro.service.client import ServiceClient, ServiceClientError  # noqa: E402
-from repro.service.ratelimit import RateLimiter  # noqa: E402
 from repro.service.registry import SweepRegistry, default_registry  # noqa: E402
 from repro.service.app import DsiService  # noqa: E402
 
@@ -47,7 +45,6 @@ __all__ = [
     "SERVICE_SCHEMA_VERSION",
     "BrokerClosedError",
     "DsiService",
-    "RateLimiter",
     "RejectedError",
     "ServiceClient",
     "ServiceClientError",

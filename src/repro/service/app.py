@@ -8,7 +8,6 @@ ephemeral port in-process.  Routes (see docs/SERVICE.md):
 ``GET  /v1/health``                       liveness probe (never touches the broker lock)
 ``GET  /v1/stats``                        uptime, queue depth, cache hit rate, tenants
 ``GET  /v1/registry[?prefix=...]``        named-sweep listing
-``POST /v1/registry``                     register a named sweep (eager spec list)
 ``POST /v1/sweeps``                       submit a JSON RunSpec batch
 ``POST /v1/sweeps?name=bench/smoke``      submit a registry-named sweep
 ``GET  /v1/sweeps/<id>``                  sweep status + per-run results
@@ -123,8 +122,6 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             if parts == ["v1", "sweeps"]:
                 self._submit(url)
-            elif parts == ["v1", "registry"]:
-                self._registry_add()
             else:
                 self._send_json(404, {"error": f"no such resource: {url.path}"})
         except (BrokenPipeError, ConnectionResetError):
@@ -157,31 +154,6 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(400, {"error": str(exc)})
             return
         self._send_json(200, {"schema": SERVICE_SCHEMA_VERSION, "sweeps": rows})
-
-    def _registry_add(self):
-        body = self._read_body()
-        if body is None:
-            return
-        name = body.get("name")
-        spec_payloads = body.get("specs")
-        if not name or not isinstance(spec_payloads, list) or not spec_payloads:
-            self._send_json(400, {
-                "error": "registry registration needs 'name' and a non-empty 'specs' list"
-            })
-            return
-        specs, errors = _parse_specs(spec_payloads)
-        if errors:
-            self._send_json(400, {"error": "invalid RunSpec payload", "details": errors})
-            return
-        try:
-            canonical = self.registry.register(
-                name, specs=specs, description=body.get("description", ""),
-            )
-        except ConfigError as exc:
-            status = 409 if "already taken" in str(exc) else 400
-            self._send_json(status, {"error": str(exc)})
-            return
-        self._send_json(201, {"name": canonical, "specs": len(specs)})
 
     def _submit(self, url):
         body = self._read_body()
@@ -216,11 +188,10 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             job = self.broker.submit(specs, tenant=tenant, name=name)
         except RejectedError as exc:
-            retry_after = exc.retry_after if exc.retry_after is not None else 1.0
             self._send_json(
                 429,
-                {"error": str(exc), "retry_after_s": retry_after},
-                headers=[("Retry-After", f"{max(retry_after, 0.001):.3f}")],
+                {"error": str(exc), "retry_after_s": exc.retry_after},
+                headers=[("Retry-After", f"{exc.retry_after:.3f}")],
             )
             return
         except BrokerClosedError:

@@ -13,13 +13,16 @@ keyed by RunSpec content address, so
   execution,
 * only genuinely novel specs consume a queue slot.
 
-Admission control is two-layered and atomic per sweep: the per-tenant
-token bucket (:mod:`repro.service.ratelimit`) and the queue-depth bound
-both reject with :class:`RejectedError` (HTTP 429 + Retry-After) before
-anything is enqueued — a sweep is admitted whole or not at all.
+Admission control is one queue-depth bound, atomic per sweep: a sweep
+whose novel specs would overfill the queue is rejected with
+:class:`RejectedError` (HTTP 429 + Retry-After) before anything is
+enqueued — a sweep is admitted whole or not at all.
 
-Telemetry is the same schema-v1 stream the harness logs (PR 9): each
-sweep owns a :class:`~repro.harness.telemetry.TelemetryHub` with a
+Worker threads execute each run through
+:func:`~repro.harness.runpool.run_spec`, the harness's one per-spec
+lifecycle (``run_started``, heartbeats, cache write, terminal event).
+Telemetry is the same schema-v1 stream the harness logs: each sweep
+owns a :class:`~repro.harness.telemetry.TelemetryHub` with a
 :class:`~repro.harness.telemetry.BufferSink` for replay, and streaming
 subscribers attach atomically (replayed prefix, then live fan-out,
 exactly once).  A second, *global* hub sees every unique run's lifecycle
@@ -29,30 +32,35 @@ test audits for exactly-once execution.
 
 import threading
 import time
-import traceback
 from collections import deque
 
 from repro.errors import ReproError
-from repro.harness.runpool import ResultCache, code_fingerprint, execute_spec
+from repro.harness.runpool import (
+    ResultCache,
+    code_fingerprint,
+    failure_event,
+    run_event,
+    run_spec,
+)
 from repro.harness.telemetry import (
     BufferSink,
-    HeartbeatSampler,
     JsonlSink,
     TelemetryHub,
     make_event,
     new_sweep_id,
 )
-from repro.service import ratelimit
 
 
 class RejectedError(ReproError):
     """A submission refused by admission control (HTTP 429)."""
 
-    def __init__(self, reason, retry_after=None):
+    #: Seconds a refused client should wait before resubmitting.
+    retry_after = 1.0
+
+    def __init__(self, reason):
         super().__init__(reason)
         self.reason = reason
         self.status = 429
-        self.retry_after = retry_after
 
 
 class BrokerClosedError(ReproError):
@@ -69,8 +77,8 @@ class _Run:
     """One unique spec's lifetime inside the broker."""
 
     __slots__ = (
-        "key", "spec", "state", "origin", "watchers", "record",
-        "error", "worker", "from_disk",
+        "key", "spec", "state", "origin", "watchers", "record", "event",
+        "worker", "from_disk",
     )
 
     def __init__(self, key, spec, origin):
@@ -79,8 +87,8 @@ class _Run:
         self.state = QUEUED
         self.origin = origin  # sweep id whose submission created the run
         self.watchers = []    # jobs awaiting this run's terminal event
-        self.record = None    # RunRecord payload dict once DONE
-        self.error = None     # "Type: message" once FAILED
+        self.record = None    # RunRecord once DONE
+        self.event = None     # terminal run_finished/run_failed event
         self.worker = None
         self.from_disk = False
 
@@ -125,9 +133,9 @@ class SweepJob:
                 "status": run.state,
             }
             if run.state == DONE:
-                entry["record"] = run.record
+                entry["record"] = run.record.to_dict()
             elif run.state == FAILED:
-                entry["error"] = run.error
+                entry["error"] = run.event["error"]
             runs.append(entry)
         return {
             "sweep": self.id,
@@ -177,14 +185,12 @@ class SweepBroker:
     jobs:
         Persistent worker *threads*.  Threads, not processes: the broker
         lives inside a threaded HTTP server, workers run whole specs
-        through :func:`execute_spec` (the simulator releases no GIL, but
-        service workloads are small and the win here is dedupe + cache,
-        not parallel speedup).
+        through :func:`~repro.harness.runpool.run_spec` (the simulator
+        releases no GIL, but service workloads are small and the win
+        here is dedupe + cache, not parallel speedup).
     queue_depth:
         Max queued-not-yet-running runs; a sweep whose novel specs would
         exceed it is rejected whole with 429.
-    rate / burst:
-        Per-tenant token-bucket policy (``rate <= 0`` disables).
     log_path:
         Optional JSONL file receiving the global event stream
         (``dsi-sim serve --log``), readable by ``dsi-sim report``.
@@ -192,13 +198,13 @@ class SweepBroker:
         Worker heartbeat period in seconds; ``0`` (default) disables —
         service runs are typically sub-second.
     executor:
-        ``f(spec, observer=None) -> RunRecord``; tests substitute a stub
-        to control execution timing.
+        ``f(spec, observer=None) -> RunRecord`` (default
+        :func:`~repro.harness.runpool.execute_spec`); tests substitute a
+        stub to control execution timing.
     """
 
-    def __init__(self, cache_dir=None, jobs=2, queue_depth=64, rate=0.0,
-                 burst=None, log_path=None, heartbeat_interval=0.0,
-                 executor=execute_spec, fingerprint=None, clock=None):
+    def __init__(self, cache_dir=None, jobs=2, queue_depth=64, log_path=None,
+                 heartbeat_interval=0.0, executor=None, fingerprint=None):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         if queue_depth < 1:
@@ -210,8 +216,6 @@ class SweepBroker:
         self.fingerprint = self.cache.fingerprint if self.cache else (
             fingerprint or code_fingerprint()
         )
-        self.limiter = ratelimit.RateLimiter(rate=rate, burst=burst,
-                                             **({"clock": clock} if clock else {}))
         self._executor = executor
         self.started = time.time()
         self._lock = threading.Lock()
@@ -244,17 +248,12 @@ class SweepBroker:
         """Admit one sweep; returns its :class:`SweepJob`.
 
         Raises :class:`RejectedError` (whole sweep, nothing partially
-        enqueued) on rate-limit or queue-depth refusal, and
+        enqueued) when the queue cannot take its novel specs, and
         :class:`BrokerClosedError` after :meth:`close`.
         """
         specs = list(specs)
         if not specs:
             raise ValueError("a sweep needs at least one spec")
-        retry_after = self.limiter.acquire(tenant)
-        if retry_after > 0:
-            with self._lock:
-                self._tenant(tenant)["rejected"] += 1
-            raise RejectedError("rate limit exceeded", retry_after=retry_after)
         # Deduplicate within the batch and probe the disk cache outside
         # the lock (file I/O); in-memory state is re-checked under it.
         unique, seen = [], set()
@@ -265,10 +264,10 @@ class SweepBroker:
                 unique.append((key, spec))
         disk = {}
         if self.cache is not None:
-            for key, _spec in unique:
-                payload = self.cache.get_by_key(key)
-                if payload is not None:
-                    disk[key] = payload["record"]
+            for key, spec in unique:
+                record = self.cache.get(spec)
+                if record is not None:
+                    disk[key] = record
 
         sweep_id = new_sweep_id()
         job = SweepJob(sweep_id, tenant, [spec for _key, spec in unique], name=name)
@@ -321,15 +320,9 @@ class SweepBroker:
             pending=len(fresh), jobs=self.jobs, fingerprint=self.fingerprint[:16],
         ))
         for run in fresh + joined:
-            job.hub.emit(make_event(
-                "run_queued", spec_key=run.key, workload=run.spec.workload,
-                label=run.spec.config.describe(),
-            ))
+            job.hub.emit(run_event("run_queued", run.spec))
         for run in fresh:
-            self._emit_global(make_event(
-                "run_queued", sweep=sweep_id, spec_key=run.key,
-                workload=run.spec.workload, label=run.spec.config.describe(),
-            ))
+            self._emit_global(run_event("run_queued", run.spec, sweep=sweep_id))
 
         # Attach to live runs / settle already-terminal ones, then make
         # the fresh runs executable.
@@ -343,19 +336,12 @@ class SweepBroker:
             for run in fresh:
                 run.watchers.append(job)
                 if self._closed:  # closed between admission and enqueue
-                    run.state = FAILED
-                    run.error = "BrokerClosedError: broker closed before execution"
                     dropped.append(run)
-                    settled.append(run)
                 else:
                     self._queue.append(run)
             self._cond.notify_all()
         for run in dropped:
-            self._emit_global(make_event(
-                "run_failed", sweep=run.origin, spec_key=run.key,
-                workload=run.spec.workload, label=run.spec.config.describe(),
-                error=run.error, traceback="",
-            ))
+            self._drop(run)
         for run in instant + settled:
             if self._settle(job, run):
                 self._finish_job(job)
@@ -383,104 +369,49 @@ class SweepBroker:
             self._execute(run)
 
     def _execute(self, run):
-        spec = run.spec
-        self._emit_global(make_event(
-            "run_started", sweep=run.origin, spec_key=run.key,
-            workload=spec.workload, label=spec.config.describe(),
-            worker=run.worker,
+        def emit(event):
+            self._emit_global(dict(event, sweep=run.origin))
+
+        self._complete(run, run_spec(
+            run.spec, cache=self.cache, emit=emit, worker=run.worker,
+            heartbeat_interval=self.heartbeat_interval, execute=self._executor,
         ))
-        observer = None
-        if self.heartbeat_interval:
-            origin = run.origin
 
-            def emit(event, _origin=origin):
-                event = dict(event)
-                event["sweep"] = _origin
-                self._emit_global(event)
-
-            observer = HeartbeatSampler(
-                emit, run.key, worker=run.worker,
-                interval=self.heartbeat_interval,
-            )
-        try:
-            record = self._executor(spec, observer=observer)
-        except Exception as exc:
-            tb = traceback.format_exc()
-            self._complete(run, error=f"{type(exc).__name__}: {exc}", tb=tb)
-            return
-        if self.cache is not None:
-            try:
-                self.cache.put(spec, record)
-            except OSError:
-                pass  # a full disk degrades to memo-only dedupe
-        self._complete(run, record=record.to_dict())
-
-    def _complete(self, run, record=None, error=None, tb=""):
+    def _complete(self, run, outcome):
+        """Settle ``run`` with a :func:`run_spec` outcome: record the
+        result, emit its terminal event globally, then to every watcher."""
+        record, event, error = outcome
         with self._cond:
-            if error is not None:
-                run.state = FAILED
-                run.error = error
-            else:
-                run.state = DONE
-                run.record = record
+            run.state = FAILED if error is not None else DONE
+            run.record, run.event = record, event
             watchers, run.watchers = run.watchers, []
-        if error is not None:
-            self._emit_global(make_event(
-                "run_failed", sweep=run.origin, spec_key=run.key,
-                workload=run.spec.workload, label=run.spec.config.describe(),
-                error=error, traceback=tb,
-            ))
-        else:
-            self._emit_global(make_event(
-                "run_finished", sweep=run.origin,
-                **self._terminal_fields(run),
-                sim_cycles_per_s=record.get("sim_cycles_per_s"),
-                profile=None,
-            ))
+        self._emit_global(dict(event, sweep=run.origin))
         for job in watchers:
             if self._settle(job, run):
                 self._finish_job(job)
 
-    def _terminal_fields(self, run):
-        config = run.spec.config
-        record = run.record or {}
-        return {
-            "spec_key": run.key,
-            "workload": run.spec.workload,
-            "label": config.describe(),
-            "cache_kb": config.cache_size // 1024,
-            "net": config.network_latency,
-            "exec_time": record.get("exec_time"),
-            "wall_time_s": record.get("wall_time_s"),
-        }
+    def _drop(self, run):
+        """Fail a queued run that shutdown kept from executing."""
+        exc = BrokerClosedError("broker closed before execution")
+        self._complete(run, (None, failure_event(run.spec, exc), exc))
 
     def _settle(self, job, run):
         """Deliver ``run``'s terminal event to ``job``; True when the
-        sweep just completed.  The *origin* sweep sees ``run_finished``
-        (it paid for the execution); every other watcher — and any disk
+        sweep just completed.  The *origin* sweep sees the run's own
+        ``run_finished`` (it paid for the execution) and every watcher of
+        a failure its ``run_failed``; every other watcher — and any disk
         or memo hit — sees ``run_cached``."""
+        own = run.state == FAILED or (run.origin == job.id and not run.from_disk)
         with self._lock:
             job.remaining -= 1
             complete = job.remaining == 0
             if run.state == FAILED:
                 job.failed += 1
-            elif run.origin == job.id and not run.from_disk:
+            elif own:
                 job.executed += 1
             else:
                 job.cached += 1
-        if run.state == FAILED:
-            job.hub.emit(make_event(
-                "run_failed", spec_key=run.key, workload=run.spec.workload,
-                label=run.spec.config.describe(), error=run.error, traceback="",
-            ))
-        elif run.origin == job.id and not run.from_disk:
-            job.hub.emit(make_event(
-                "run_finished", **self._terminal_fields(run),
-                sim_cycles_per_s=(run.record or {}).get("sim_cycles_per_s"),
-                profile=None,
-            ))
-        else:
-            job.hub.emit(make_event("run_cached", **self._terminal_fields(run)))
+        job.hub.emit(run.event if own else run_event("run_cached", run.spec, run.record))
         return complete
 
     def _finish_job(self, job):
@@ -541,7 +472,7 @@ class SweepBroker:
         with self._lock:
             run = self._runs.get(key)
             if run is not None and run.state == DONE:
-                return {"spec": run.spec.to_dict(), "record": run.record}
+                return {"spec": run.spec.to_dict(), "record": run.record.to_dict()}
         if self.cache is not None:
             return self.cache.get_by_key(key)
         return None
@@ -585,7 +516,6 @@ class SweepBroker:
                 "cache_hit_rate": (cached / served) if served else None,
             },
             "tenants": tenants,
-            "ratelimit": self.limiter.describe(),
             "fingerprint": self.fingerprint[:16],
             "events": {
                 "buffered": len(self.global_buffer.events),
@@ -608,21 +538,9 @@ class SweepBroker:
             if not drain:
                 dropped = list(self._queue)
                 self._queue.clear()
-                for run in dropped:
-                    run.state = FAILED
-                    run.error = "BrokerClosedError: broker closed before execution"
             self._cond.notify_all()
         for run in dropped:
-            with self._cond:
-                watchers, run.watchers = run.watchers, []
-            self._emit_global(make_event(
-                "run_failed", sweep=run.origin, spec_key=run.key,
-                workload=run.spec.workload, label=run.spec.config.describe(),
-                error=run.error, traceback="",
-            ))
-            for job in watchers:
-                if self._settle(job, run):
-                    self._finish_job(job)
+            self._drop(run)
         for thread in self._threads:
             thread.join(timeout=60)
         with self._lock:

@@ -107,18 +107,6 @@ class ServiceClient:
             tenant=tenant,
         )
 
-    def register(self, name, specs, description=""):
-        """Register a named sweep on the server (``POST /v1/registry``)."""
-        payload = {
-            "name": name,
-            "description": description,
-            "specs": [
-                spec if isinstance(spec, dict) else spec.to_dict()
-                for spec in specs
-            ],
-        }
-        return self._request("POST", "/v1/registry", body=payload)
-
     def sweep(self, sweep_id):
         return self._request("GET", f"/v1/sweeps/{sweep_id}")
 

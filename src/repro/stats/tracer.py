@@ -1,11 +1,18 @@
 """Protocol event tracing.
 
-A :class:`MessageTracer` attached to a machine records every message the
-network carries — timestamp, kind, endpoints, block, flags — optionally
-filtered to a block set.  Useful for debugging protocol behaviour and for
-teaching: ``dsi-sim run --show-trace 40`` prints the first messages of a
-run, and :meth:`MessageTracer.block_history` reconstructs one block's
-whole coherence life.
+A :class:`MessageTracer` records every message a machine sends —
+timestamp, kind, endpoints, block, flags — optionally filtered to a
+block or transaction set.  It is fed by an instrument's ``message_send``
+probe::
+
+    tracer = MessageTracer(blocks=[block])
+    Machine(config, program, instrument=Instrument(tracer=tracer)).run()
+
+so an instrumented run (the interpreted engine, whose every send passes
+the probe) records all of them.  Useful for debugging protocol behaviour
+and for teaching: ``dsi-sim run --show-trace 40`` prints the first
+messages of a run, and :meth:`MessageTracer.block_history` reconstructs
+one block's whole coherence life.
 """
 
 from repro.stats.report import format_table
@@ -137,15 +144,3 @@ class MessageTracer:
     def __len__(self):
         return len(self.events)
 
-
-def attach_tracer(machine, tracer):
-    """Wrap the machine's network so every send is recorded."""
-    network = machine.network
-    original_send = network.send
-
-    def traced_send(msg, on_injected=None):
-        tracer.record(network.sim.now, msg, msg.src == msg.dst)
-        return original_send(msg, on_injected=on_injected)
-
-    network.send = traced_send
-    return tracer

@@ -28,6 +28,21 @@ def _dicts(records):
     return {spec.key(): record._measured_dict() for spec, record in records.items()}
 
 
+class TestCacheWriteFailure:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unwritable_cache_keeps_records(self, tmp_path, capfd, jobs):
+        """A cache path under a regular file fails every write: the sweep
+        still completes with every record, and says so once on stderr."""
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        pool = RunPool(jobs=jobs, cache_dir=str(blocker / "cache"))
+        specs = _specs()
+        records = pool.run_batch(specs)
+        assert set(records) == set(specs)
+        assert pool.executed == len(specs) and pool.failed == 0
+        assert capfd.readouterr().err.count("result cache write failed") == 1
+
+
 class TestParallelEquivalence:
     def test_jobs_4_matches_serial(self):
         specs = _specs()

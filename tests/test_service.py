@@ -1,9 +1,9 @@
-"""The sweep service: registry, rate limiter, broker, HTTP API.
+"""The sweep service: registry, broker, HTTP API.
 
 Unit coverage for :mod:`repro.service` — the broker's admission control
-(queue-full 429, per-tenant rate limiting), in-flight dedupe under
-concurrency, streaming-subscriber lifecycle (no leaked sinks), shutdown
-draining, and the in-process HTTP façade with its structured errors.
+(queue-full 429), in-flight dedupe under concurrency, streaming-subscriber
+lifecycle (no leaked sinks), shutdown draining, and the in-process HTTP
+façade with its structured errors.
 The end-to-end concurrency hammering lives in ``test_service_load.py``.
 """
 
@@ -22,7 +22,6 @@ from repro.harness.telemetry import validate_event
 from repro.service.app import DsiService
 from repro.service.broker import BrokerClosedError, RejectedError, SweepBroker
 from repro.service.client import ServiceClient, ServiceClientError
-from repro.service.ratelimit import RateLimiter, TokenBucket
 from repro.service.registry import SweepRegistry, default_registry, normalize_name
 
 
@@ -137,42 +136,6 @@ class TestRegistry:
 
 
 # ----------------------------------------------------------------------
-# Rate limiting
-# ----------------------------------------------------------------------
-class TestRateLimit:
-    def test_bucket_burst_then_exact_retry_after(self):
-        now = [0.0]
-        bucket = TokenBucket(rate=2.0, burst=3, clock=lambda: now[0])
-        assert [bucket.acquire() for _ in range(3)] == [0.0, 0.0, 0.0]
-        assert bucket.acquire() == pytest.approx(0.5)  # 1 token / 2 per s
-        now[0] += 0.5
-        assert bucket.acquire() == 0.0
-
-    def test_bucket_refill_caps_at_burst(self):
-        now = [0.0]
-        bucket = TokenBucket(rate=10.0, burst=2, clock=lambda: now[0])
-        bucket.acquire(), bucket.acquire()
-        now[0] += 100.0
-        assert bucket.acquire() == 0.0
-        assert bucket.acquire() == 0.0
-        assert bucket.acquire() > 0.0  # only refilled to burst, not rate*100
-
-    def test_limiter_disabled_by_default(self):
-        limiter = RateLimiter()
-        assert not limiter.enabled
-        assert limiter.acquire("anyone") == 0.0
-        assert limiter.describe()["enabled"] is False
-
-    def test_limiter_tenants_are_independent(self):
-        now = [0.0]
-        limiter = RateLimiter(rate=1.0, burst=1, clock=lambda: now[0])
-        assert limiter.acquire("a") == 0.0
-        assert limiter.acquire("a") > 0.0  # a's bucket is empty
-        assert limiter.acquire("b") == 0.0  # b's is not
-        assert limiter.describe()["tenants_tracked"] == 2
-
-
-# ----------------------------------------------------------------------
 # Broker
 # ----------------------------------------------------------------------
 class TestBroker:
@@ -261,24 +224,6 @@ class TestBroker:
                 broker.wait(job_id, timeout=10)
         finally:
             gate.set()
-            broker.close()
-
-    def test_rate_limit_rejects_with_retry_after(self, canned_record):
-        now = [0.0]
-        broker = make_broker(canned_record, rate=1.0, burst=2, clock=lambda: now[0])
-        try:
-            broker.submit([tiny_spec(1)], tenant="greedy")
-            broker.submit([tiny_spec(2)], tenant="greedy")
-            with pytest.raises(RejectedError) as excinfo:
-                broker.submit([tiny_spec(3)], tenant="greedy")
-            assert excinfo.value.status == 429
-            assert excinfo.value.retry_after == pytest.approx(1.0)
-            # another tenant is unaffected
-            broker.submit([tiny_spec(3)], tenant="patient")
-            stats = broker.stats()
-            assert stats["tenants"]["greedy"]["rejected"] == 1
-            assert stats["tenants"]["patient"]["rejected"] == 0
-        finally:
             broker.close()
 
     def test_failed_run_terminates_sweep(self, canned_record):
@@ -383,6 +328,20 @@ class TestBroker:
         with pytest.raises(BrokerClosedError):
             broker.submit([tiny_spec()])
 
+    def test_unwritable_cache_keeps_records(self, canned_record, tmp_path, capfd):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        broker = make_broker(canned_record, cache_dir=str(blocker / "cache"))
+        try:
+            status = broker.wait(
+                broker.submit([tiny_spec(1), tiny_spec(2)]).id, timeout=10
+            )
+            assert status["counts"]["executed"] == 2
+            assert all(run["record"] for run in status["runs"])
+        finally:
+            broker.close()
+        assert capfd.readouterr().err.count("result cache write failed") == 1
+
     def test_run_payload_from_memo_and_disk(self, canned_record, tmp_path):
         broker = make_broker(canned_record, cache_dir=str(tmp_path / "cache"))
         try:
@@ -448,16 +407,6 @@ class TestHttpApi:
         accepted = client.submit_name("bench/tiny")
         status = client.wait(accepted["sweep"], timeout=10)
         assert status["counts"]["specs"] == 2
-
-    def test_register_then_submit_roundtrip(self, service):
-        client = ServiceClient(service.url)
-        created = client.register("team/mine", [tiny_spec(7)], description="d")
-        assert created == {"name": "team/mine", "specs": 1}
-        accepted = client.submit_name("team/mine")
-        assert client.wait(accepted["sweep"], timeout=10)["counts"]["specs"] == 1
-        with pytest.raises(ServiceClientError) as excinfo:
-            client.register("team/mine", [tiny_spec(8)])
-        assert excinfo.value.status == 409
 
     def test_invalid_spec_payload_is_structured_400(self, service):
         client = ServiceClient(service.url)
@@ -532,19 +481,27 @@ class TestHttpApi:
             svc.close()
 
     def test_429_carries_retry_after_header(self, canned_record):
+        gate = threading.Event()
         svc = DsiService(
-            jobs=1, rate=1.0, burst=1,
-            executor=StubExecutor(canned_record),
+            jobs=1, queue_depth=1,
+            executor=StubExecutor(canned_record, gate=gate),
             registry=_tiny_registry(),
         ).start()
         try:
             client = ServiceClient(svc.url, tenant="hammer")
-            client.submit_specs([tiny_spec(1)])
+            client.submit_specs([tiny_spec(1)])  # picked up by the worker
+            deadline = time.monotonic() + 10
+            while svc.broker.stats()["queue"]["depth"] and time.monotonic() < deadline:
+                time.sleep(0.01)
+            client.submit_specs([tiny_spec(2)])  # fills the one queue slot
             with pytest.raises(ServiceClientError) as excinfo:
-                client.submit_specs([tiny_spec(2)])
+                client.submit_specs([tiny_spec(3)])
             assert excinfo.value.status == 429
             assert excinfo.value.retry_after > 0
+            assert "queue full" in excinfo.value.payload["error"]
+            assert client.stats()["tenants"]["hammer"]["rejected"] == 1
         finally:
+            gate.set()
             svc.close()
 
     def test_raw_request_content_type_and_bad_json(self, service):

@@ -9,8 +9,6 @@ core promises:
   event log, not the counters);
 * every other request is served by the shared result — ``/v1/stats``
   shows ``executed == unique`` and a high cache-hit rate;
-* a deliberately bursty tenant trips the rate limiter and gets 429
-  with a usable ``Retry-After``;
 * ``/v1/health`` answers in under a second the whole time, measured
   by a monitor thread polling throughout the storm.
 """
@@ -130,34 +128,5 @@ def test_service_survives_concurrent_sweep_storm(tmp_path):
         assert stats["runs"]["cache_hit_rate"] > 0.9
         assert stats["sweeps"]["active"] == 0
         assert len(stats["tenants"]) == TENANTS
-    finally:
-        service.close()
-
-
-@pytest.mark.slow
-def test_rate_limiter_engages_under_burst(tmp_path):
-    """A bursty tenant gets 429 + Retry-After while a polite one sails."""
-    service = DsiService(
-        cache_dir=str(tmp_path / "cache"), jobs=2, rate=5.0, burst=5,
-    ).start()
-    try:
-        pool = _spec_pool()
-        hammer = ServiceClient(service.url, tenant="hammer")
-        polite = ServiceClient(service.url, tenant="polite")
-        rejections = []
-        for spec in pool:  # 10 rapid submissions against burst=5
-            try:
-                hammer.submit_specs([spec])
-            except ServiceClientError as exc:
-                assert exc.status == 429
-                assert exc.retry_after and exc.retry_after > 0
-                rejections.append(exc)
-        assert rejections, "burst never tripped the rate limiter"
-        # the well-behaved tenant is not collateral damage
-        accepted = polite.submit_specs([pool[0]])
-        assert polite.wait(accepted["sweep"], timeout=60)["state"] == "done"
-        stats = polite.stats()
-        assert stats["tenants"]["hammer"]["rejected"] == len(rejections)
-        assert stats["tenants"]["polite"]["rejected"] == 0
     finally:
         service.close()

@@ -257,6 +257,60 @@ class TestFailureDrain:
 
 
 # ----------------------------------------------------------------------
+# One lifecycle, every executor
+# ----------------------------------------------------------------------
+class TestLifecycleParity:
+    """One test body against every executor: each runs its specs through
+    ``runpool.run_spec``, so each narrates runs with the same events."""
+
+    def _do_test(self, events):
+        for type_ in ("run_started", "run_finished"):
+            typed = [event for event in events if event["type"] == type_]
+            assert typed, f"no {type_} event"
+            for event in typed:
+                T.validate_event(event)
+                assert set(event) == (
+                    set(T.COMMON_FIELDS) | set(T.EVENT_FIELDS[type_]) | {"seq"}
+                ), type_
+
+    def _pool_events(self, tmp_path, jobs):
+        log = str(tmp_path / "pool.jsonl")
+        pool = RunPool(jobs=jobs, telemetry=T.TelemetryConfig(log_path=log))
+        try:
+            pool.run_batch(_specs(2))
+        finally:
+            pool.close()
+        return T.load_log(log)
+
+    def test_runpool_serial(self, tmp_path):
+        self._do_test(self._pool_events(tmp_path, jobs=1))
+
+    def test_runpool_parallel(self, tmp_path):
+        self._do_test(self._pool_events(tmp_path, jobs=2))
+
+    def test_sweep_broker(self):
+        from repro.service.broker import SweepBroker
+
+        broker = SweepBroker(jobs=1)
+        try:
+            broker.wait(broker.submit(_specs(2)).id, timeout=60)
+        finally:
+            broker.close()
+        self._do_test(broker.global_events())
+
+    def test_run_verb(self, tmp_path, capsys):
+        from repro.harness import cli
+
+        log = str(tmp_path / "run.jsonl")
+        assert cli.main([
+            "run", "--workload", "producer_consumer", "--procs", "4", "--quick",
+            "--json", "--log", log,
+        ]) == 0
+        capsys.readouterr()
+        self._do_test(T.load_log(log))
+
+
+# ----------------------------------------------------------------------
 # Heartbeats
 # ----------------------------------------------------------------------
 class TestHeartbeats:

@@ -2,8 +2,16 @@
 
 
 from conftest import seg_addr, tiny_config, two_proc_program
-from repro.stats.tracer import MessageTracer, attach_tracer
+from repro.config import SystemConfig
+from repro.obs import Instrument
+from repro.stats.tracer import MessageTracer
 from repro.system import Machine
+
+
+def run_traced(program, config, tracer):
+    """Run ``program`` with ``tracer`` fed by an instrument; returns the
+    run result."""
+    return Machine(config, program, instrument=Instrument(tracer=tracer)).run()
 
 
 def traced_run(tracer_kwargs=None, config=None):
@@ -14,10 +22,8 @@ def traced_run(tracer_kwargs=None, config=None):
         b1.read(seg_addr(0))
         ctx.barrier_all()
 
-    program = two_proc_program(build)
-    machine = Machine(config or tiny_config(), program)
-    tracer = attach_tracer(machine, MessageTracer(**(tracer_kwargs or {})))
-    machine.run()
+    tracer = MessageTracer(**(tracer_kwargs or {}))
+    run_traced(two_proc_program(build), config or tiny_config(), tracer)
     return tracer
 
 
@@ -65,6 +71,22 @@ class TestRecording:
         assert tracer.events
         assert all(event.block == block for event in tracer.events)
 
+    def test_default_config_records_every_sent_message(self):
+        """On the default engine configuration every message the machine
+        counts — lane-sent ones included — reaches the tracer."""
+        from repro.harness.configs import workload_args
+        from repro.workloads import by_name
+
+        program = by_name("em3d", **workload_args("em3d", quick=True, n_procs=4))
+        tracer = MessageTracer(max_events=0)
+        result = run_traced(program, SystemConfig(n_processors=4), tracer)
+        messages = result.messages
+        sent = sum(messages.network.values()) + sum(messages.local.values())
+        assert len(tracer) == sent
+        assert sum(1 for event in tracer.events if not event.local) == sum(
+            messages.network.values()
+        )
+
     def test_block_filter_misses_do_not_count_as_drops(self):
         tracer = traced_run({"blocks": [999_999], "max_events": 1})
         assert len(tracer) == 0
@@ -90,10 +112,8 @@ class TestQueries:
             b1.read(seg_addr(1))
             ctx.barrier_all()
 
-        program = two_proc_program(build)
-        machine = Machine(tiny_config(), program)
-        tracer = attach_tracer(machine, MessageTracer())
-        machine.run()
+        tracer = MessageTracer()
+        run_traced(two_proc_program(build), tiny_config(), tracer)
         block = seg_addr(0) >> 5
         history = tracer.block_history(block)
         assert history
@@ -143,10 +163,10 @@ class TestFlags:
                 b1.read(addr)
             ctx.barrier_all()
 
-        program = two_proc_program(build)
-        machine = Machine(tiny_config(identify=IdentifyScheme.VERSION), program)
-        tracer = attach_tracer(machine, MessageTracer())
-        machine.run()
+        tracer = MessageTracer()
+        run_traced(
+            two_proc_program(build), tiny_config(identify=IdentifyScheme.VERSION), tracer
+        )
         marked = [e for e in tracer.events if "si" in e.flags and e.kind == "DATA"]
         assert marked
 
@@ -162,9 +182,9 @@ class TestFlags:
                 b1.read(addr)
             ctx.barrier_all()
 
-        program = two_proc_program(build)
-        machine = Machine(tiny_config(identify=IdentifyScheme.VERSION), program)
-        tracer = attach_tracer(machine, MessageTracer())
-        machine.run()
+        tracer = MessageTracer()
+        run_traced(
+            two_proc_program(build), tiny_config(identify=IdentifyScheme.VERSION), tracer
+        )
         versioned = [e for e in tracer.events if e.flags.startswith("v") and e.kind == "GETS"]
         assert versioned
