@@ -510,7 +510,7 @@ def _dispatch(argv):
         print(f"unknown experiment {args.experiment!r}; try 'list'", file=sys.stderr)
         return 2
     runner = _make_runner(args)
-    started = time.time()
+    started = time.perf_counter()
     try:
         # Plan: union every selected experiment's specs into one pool
         # batch, so a multi-experiment sweep parallelizes across
@@ -523,7 +523,7 @@ def _dispatch(argv):
         results = [EXPERIMENTS[name](runner) for name in selected]
     finally:
         runner.close()  # flush telemetry sinks even when a run fails
-    wall = time.time() - started
+    wall = time.perf_counter() - started
     if args.log:
         print(f"# wrote telemetry log -> {args.log} "
               f"(analyze with: dsi-sim report {args.log})", file=sys.stderr)
@@ -597,13 +597,13 @@ def _check_protocol(args):
         check_variant, bugs=bugs, configs=configs, max_states=args.max_states
     )
     jobs = args.jobs or os.cpu_count() or 1
-    started = time.time()
+    started = time.perf_counter()
     if jobs > 1 and len(variants) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(variants))) as pool:
             reports = list(pool.map(check, variants))
     else:
         reports = [check(v) for v in variants]
-    wall = time.time() - started
+    wall = time.perf_counter() - started
     payload = []
     for report in reports:
         uncovered = [
@@ -859,9 +859,9 @@ def _trace(args):
         CausalInstrument(keep_txns=txns, tracer=tracer) if txns
         else Instrument(tracer=tracer)
     )
-    started = time.time()
+    started = time.perf_counter()
     result = Machine(config, program, instrument=instrument).run()
-    wall = time.time() - started
+    wall = time.perf_counter() - started
     print(f"workload: {program.describe()}")
     print(f"protocol: {config.describe()}  cache={config.cache_size // 1024}KB "
           f"net={config.network_latency}\n")
@@ -962,7 +962,7 @@ def _why(args):
         )
         return config, instrument, result, report
 
-    started = time.time()
+    started = time.perf_counter()
     config, instrument, result, report = run_variant(args.protocol)
     diff = None
     if args.diff:
@@ -970,7 +970,7 @@ def _why(args):
         # deltas mean the primary run spends more cycles there.
         _, _, _, base_report = run_variant(args.diff)
         diff = diff_why(base_report, report)
-    wall = time.time() - started
+    wall = time.perf_counter() - started
     _write_obs_outputs(
         args,
         instrument,
@@ -1025,9 +1025,9 @@ def _analyze(args):
         **_protocol_overrides(args),
     )
     instrument = AnalyticsInstrument(audit=not args.no_audit)
-    started = time.time()
+    started = time.perf_counter()
     result = Machine(config, program, instrument=instrument).run()
-    wall = time.time() - started
+    wall = time.perf_counter() - started
     report = instrument.report(top=args.top)
     _write_obs_outputs(
         args,

@@ -83,9 +83,9 @@ def execute_spec(spec, observer=None, program=None, instrument=None):
         program = _PROGRAMS.get(key)
         if program is None:
             program = _PROGRAMS[key] = spec.build_program()
-    started = time.time()
+    started = time.perf_counter()
     record = spec.execute(program, observer=observer, instrument=instrument)
-    record.set_timing(time.time() - started)
+    record.set_timing(time.perf_counter() - started)
     return record
 
 
@@ -371,7 +371,7 @@ class RunPool:
             else:
                 pending.append(spec)
         base = (self.executed, self.cache_hits, self.failed)
-        sweep_started = time.time()
+        sweep_started = time.perf_counter()
         if self.hub is not None:
             self.hub.begin_sweep(new_sweep_id())
             self.hub.emit(
@@ -414,7 +414,7 @@ class RunPool:
                         executed=self.executed - base[0],
                         cache_hits=self.cache_hits - base[1],
                         failed=self.failed - base[2],
-                        wall_s=time.time() - sweep_started,
+                        wall_s=time.perf_counter() - sweep_started,
                     )
                 )
                 self.hub.end_sweep()

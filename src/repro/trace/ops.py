@@ -90,21 +90,22 @@ class Program:
             )
         for proc, trace in enumerate(self.traces):
             held = {}
-            for kind, addr in zip(trace.kinds, trace.addrs):
+            sync = np.flatnonzero((trace.kinds == OP_LOCK) | (trace.kinds == OP_UNLOCK))
+            for kind, addr in zip(trace.kinds[sync].tolist(), trace.addrs[sync].tolist()):
                 if kind == OP_LOCK:
-                    if held.get(int(addr)):
+                    if held.get(addr):
                         raise TraceError(
                             f"program {self.name!r} proc {proc}: lock {addr:#x} "
                             "acquired twice without release"
                         )
-                    held[int(addr)] = True
+                    held[addr] = True
                 elif kind == OP_UNLOCK:
-                    if not held.get(int(addr)):
+                    if not held.get(addr):
                         raise TraceError(
                             f"program {self.name!r} proc {proc}: unlock of "
                             f"{addr:#x} not held"
                         )
-                    held[int(addr)] = False
+                    held[addr] = False
             if any(held.values()):
                 raise TraceError(
                     f"program {self.name!r} proc {proc}: locks still held at end"

@@ -14,6 +14,9 @@ synchronization component that neither weak consistency nor DSI reduces
   (up to ~2x), so the per-phase barriers collect long waits.
 """
 
+import numpy as np
+
+from repro.trace.ops import OP_LOCK, OP_READ, OP_UNLOCK, OP_WRITE
 from repro.workloads.base import BLOCK, WorkloadContext
 
 
@@ -35,8 +38,8 @@ def barnes(
     """
     ctx = WorkloadContext("barnes", n_procs, seed=seed)
     # Shared tree cells: one cache block each, distributed round-robin.
-    cell_addr = [ctx.alloc.alloc(c % n_procs, BLOCK) for c in range(cells)]
-    cell_locks = [ctx.new_lock() for _ in range(locks)]
+    cell_addr = np.array([ctx.alloc.alloc(c % n_procs, BLOCK) for c in range(cells)])
+    cell_locks = np.array([ctx.new_lock() for _ in range(locks)])
     # Bodies: each processor's bodies in its own segment (a block per body).
     counts = [
         max(1, round(bodies_per_proc * (1 + imbalance * p / max(1, n_procs - 1))))
@@ -46,34 +49,49 @@ def barnes(
         p: [ctx.alloc.alloc(p, BLOCK) for _ in range(counts[p])] for p in range(n_procs)
     }
 
+    # Tree build, per body: compute, lock the cell, read it, compute,
+    # write it, unlock.
+    insert_kinds = [OP_LOCK, OP_READ, OP_WRITE, OP_UNLOCK]
+    insert_gaps = [4, 0, 3, 0]
+    # Force computation, per body: ``gather`` cell reads with a compute
+    # after each, two remote body reads, compute, write the own body.
+    force_kinds = [OP_READ] * (gather + 2) + [OP_WRITE]
+    force_gaps = [0] + [compute_per_interaction] * gather + [0, compute_per_interaction * 2]
+
     ctx.barrier_all()
     for _iteration in range(iterations):
         # Phase 1: tree build with fine-grain cell locking.
         for proc in range(n_procs):
-            builder = ctx.builders[proc]
-            for body in range(counts[proc]):
-                cell = int(ctx.rng.integers(0, cells))
-                lock = cell_locks[cell % locks]
-                builder.compute(4)
-                builder.lock(lock)
-                builder.read(cell_addr[cell])
-                builder.compute(3)
-                builder.write(cell_addr[cell])
-                builder.unlock(lock)
+            cell = ctx.rng.integers(0, cells, size=counts[proc])
+            lock = cell_locks[cell % locks]
+            ctx.builders[proc].extend(
+                np.tile(insert_kinds, counts[proc]),
+                np.stack([lock, cell_addr[cell], cell_addr[cell], lock], axis=1).ravel(),
+                np.tile(insert_gaps, counts[proc]),
+            )
         ctx.barrier_all()
         # Phase 2: force computation — gather over cells and remote bodies.
+        # Which remote body is read depends on the draw just before it, so
+        # those draws stay scalar; only the emission is batched.
         for proc in range(n_procs):
-            builder = ctx.builders[proc]
-            for body in range(counts[proc]):
-                for _ in range(gather):
-                    builder.read(cell_addr[int(ctx.rng.integers(0, cells))])
-                    builder.compute(compute_per_interaction)
+            gathered = []
+            remote = []
+            for _body in range(counts[proc]):
+                gathered.append(ctx.rng.integers(0, cells, size=gather))
                 for _ in range(2):
-                    other = int(ctx.rng.integers(0, n_procs))
-                    others = body_addr[other]
-                    builder.read(others[int(ctx.rng.integers(0, len(others)))])
-                builder.compute(compute_per_interaction * 2)
-                builder.write(body_addr[proc][body])
+                    others = body_addr[int(ctx.rng.integers(0, n_procs))]
+                    remote.append(others[int(ctx.rng.integers(0, len(others)))])
+            ctx.builders[proc].extend(
+                np.tile(force_kinds, counts[proc]),
+                np.column_stack(
+                    [
+                        cell_addr[np.array(gathered, dtype=np.int64)],
+                        np.reshape(remote, (counts[proc], 2)),
+                        body_addr[proc],
+                    ]
+                ).ravel(),
+                np.tile(force_gaps, counts[proc]),
+            )
         ctx.barrier_all()
     return ctx.program(
         seed=seed,

@@ -4,7 +4,7 @@ import numpy as np
 
 from repro.memory.address import Allocator
 from repro.trace.builder import TraceBuilder
-from repro.trace.ops import Program
+from repro.trace.ops import OP_READ, Program
 
 #: simulated word size in bytes (1995-era 32-bit data words)
 WORD = 4
@@ -75,15 +75,20 @@ class WorkloadContext:
         """Stream over a private region (capacity pressure: models the rest
         of a program's data set).  ``stride_words=8`` touches one word per
         32-byte block."""
-        builder = self.builders[proc]
-        for word in range(0, n_words, stride_words):
-            if read_frac >= 1.0 or self.rng.random() < read_frac:
-                builder.read(base + word * WORD)
+        words = np.arange(0, n_words, stride_words)
+        if read_frac < 1.0:
+            words = words[self.rng.random(len(words)) < read_frac]
+        self.builders[proc].extend(OP_READ, base + words * WORD)
 
 
 def spread_indices(rng, total, count, exclude_range=None):
     """``count`` distinct indices in ``[0, total)``, optionally avoiding a
-    half-open ``exclude_range`` — used to pick *remote* neighbours."""
+    half-open ``exclude_range`` — used to pick *remote* neighbours.
+
+    ``count == 0`` returns early: a size-0 ``Generator.choice`` draws
+    nothing, so skipping it leaves the RNG stream where it was."""
+    if count == 0:
+        return []
     if exclude_range is None:
         pool = total
         picks = rng.choice(pool, size=min(count, pool), replace=False)

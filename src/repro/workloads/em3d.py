@@ -29,6 +29,9 @@ with it some of DSI's accuracy), reproducing the paper's smaller gains at
 256 KB than at 2 MB.
 """
 
+import numpy as np
+
+from repro.trace.ops import OP_READ, OP_WRITE
 from repro.workloads.base import WORD, WorkloadContext, spread_indices
 
 
@@ -51,52 +54,57 @@ def em3d(
     ctx = WorkloadContext("em3d", n_procs, seed=seed)
     total = n_procs * nodes_per_proc  # per class
     # Node values (one word per node), locally allocated per owner.
-    e_base = ctx.alloc_array(nodes_per_proc)
-    h_base = ctx.alloc_array(nodes_per_proc)
+    e_base = np.array(ctx.alloc_array(nodes_per_proc), dtype=np.int64)
+    h_base = np.array(ctx.alloc_array(nodes_per_proc), dtype=np.int64)
     # Private edge lists and streaming region.
     edge_base = [ctx.alloc_words(p, 2 * nodes_per_proc * degree) for p in range(n_procs)]
     priv_base = [ctx.alloc_words(p, max(private_words, 1)) for p in range(n_procs)]
 
-    def addr_of(bases, global_node):
-        owner, offset = divmod(global_node, nodes_per_proc)
-        return bases[owner] + offset * WORD
-
     def build_edges():
-        table = {}
+        """edges[proc, node]: the ``degree`` global nodes it reads."""
+        rows = []
         for proc in range(n_procs):
             own_lo = proc * nodes_per_proc
             own_hi = own_lo + nodes_per_proc
-            rows = []
             for _node in range(nodes_per_proc):
-                n_remote = sum(1 for _ in range(degree) if ctx.rng.random() < remote_frac)
+                n_remote = int(np.count_nonzero(ctx.rng.random(degree) < remote_frac))
                 remote = spread_indices(ctx.rng, total, n_remote, exclude_range=(own_lo, own_hi))
                 n_local = degree - len(remote)
                 local = (own_lo + ctx.rng.integers(0, nodes_per_proc, size=n_local)).tolist()
                 rows.append(remote + local)
-            table[proc] = rows
-        return table
+        return np.array(rows, dtype=np.int64).reshape(n_procs, nodes_per_proc, degree)
 
-    e_edges = build_edges()  # E nodes read these H nodes
-    h_edges = build_edges()  # H nodes read these E nodes
+    # Per node: read each neighbour, read its edge-list entry, compute,
+    # write its own value.
+    node_kinds = np.tile([OP_READ] * (degree + 1) + [OP_WRITE], nodes_per_proc)
+    node_gaps = np.tile([0] * (degree + 1) + [compute_per_node], nodes_per_proc)
+    nodes = np.arange(nodes_per_proc)
 
-    def phase(read_bases, write_bases, edges, edge_offset):
+    def phase_addrs(read_bases, write_bases, edges, edge_offset):
+        """Per processor, the addresses of one phase's node updates."""
+        owner, offset = np.divmod(edges, nodes_per_proc)
+        reads = read_bases[owner] + offset * WORD
+        per_proc = []
         for proc in range(n_procs):
-            builder = ctx.builders[proc]
-            rows = edges[proc]
-            for node in range(nodes_per_proc):
-                for neighbour in rows[node]:
-                    builder.read(addr_of(read_bases, neighbour))
-                builder.read(edge_base[proc] + (edge_offset + node * degree) * WORD)
-                builder.compute(compute_per_node)
-                builder.write(write_bases[proc] + node * WORD)
+            edge_read = edge_base[proc] + (edge_offset + nodes * degree) * WORD
+            write = write_bases[proc] + nodes * WORD
+            per_proc.append(np.column_stack([reads[proc], edge_read, write]).ravel())
+        return per_proc
+
+    e_phase = phase_addrs(h_base, e_base, build_edges(), 0)  # E nodes read H nodes
+    h_phase = phase_addrs(e_base, h_base, build_edges(), nodes_per_proc * degree)
+
+    def phase(per_proc):
+        for proc, addrs in enumerate(per_proc):
+            ctx.builders[proc].extend(node_kinds, addrs, node_gaps)
             if private_words:
                 ctx.stream_private(proc, priv_base[proc], private_words)
         ctx.barrier_all()
 
     ctx.barrier_all()
     for _iteration in range(iterations):
-        phase(h_base, e_base, e_edges, 0)  # E phase: read H, write E
-        phase(e_base, h_base, h_edges, nodes_per_proc * degree)  # H phase
+        phase(e_phase)  # E phase: read H, write E
+        phase(h_phase)  # H phase: read E, write H
     return ctx.program(
         seed=seed,
         nodes=2 * total,

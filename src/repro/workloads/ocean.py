@@ -24,6 +24,9 @@ remains explicit.  The blend reproduces Table 3's *partial* invalidation
 reduction (~half) with little execution-time change.
 """
 
+import numpy as np
+
+from repro.trace.ops import OP_READ, OP_WRITE
 from repro.workloads.base import WORD, WorkloadContext
 
 
@@ -40,42 +43,46 @@ def ocean(
     """Build the Ocean program (row-partitioned red-black sweeps; one
     barrier per sweep, mirroring the convergence check of the real code)."""
     ctx = WorkloadContext("ocean", n_procs, seed=seed)
-    row_words = cols
-    band_base = [ctx.alloc_words(p, rows_per_proc * row_words) for p in range(n_procs)]
+    row_bytes = cols * WORD
+    band_base = [ctx.alloc_words(p, rows_per_proc * cols) for p in range(n_procs)]
+    ghost_cols = np.arange(0, cols, ghost_stride) * WORD
 
-    def row_addr(proc, local_row):
-        return band_base[proc] + local_row * row_words * WORD
+    def sweep(proc, parity):
+        """(kinds, addrs, gaps) of one processor's sweep."""
+        ghosts = []
+        # Ghost rows: read the adjacent rows of both neighbours.
+        if proc > 0:
+            ghosts.append(band_base[proc - 1] + (rows_per_proc - 1) * row_bytes + ghost_cols)
+        if proc < n_procs - 1:
+            ghosts.append(band_base[proc + 1] + ghost_cols)
+        ghosts = np.array(ghosts, dtype=np.int64).ravel()
+        # Update own rows: even rows every sweep (columns alternate by
+        # colour), odd rows on odd sweeps only.  Each point: read,
+        # compute, write.
+        points = []
+        for local_row in range(rows_per_proc):
+            global_row = proc * rows_per_proc + local_row
+            if global_row % 2 == 0:
+                columns = np.arange(parity, cols, 2)
+            elif parity == 1:
+                columns = np.arange(cols)
+            else:
+                continue
+            points.append(band_base[proc] + local_row * row_bytes + columns * WORD)
+        points = np.concatenate(points) if points else np.zeros(0, np.int64)
+        return (
+            np.append(np.full(len(ghosts), OP_READ), np.tile([OP_READ, OP_WRITE], len(points))),
+            np.append(ghosts, np.repeat(points, 2)),
+            np.append(np.zeros(len(ghosts), np.int64), np.tile([0, compute_per_point], len(points))),
+        )
 
-    def read_row(builder, base):
-        for col in range(0, cols, ghost_stride):
-            builder.read(base + col * WORD)
+    sweeps = [[sweep(proc, parity) for proc in range(n_procs)] for parity in (0, 1)]
 
     ctx.barrier_all()
     for _day in range(days):
-        for sweep in range(sweeps_per_day):
-            parity = sweep % 2
-            for proc in range(n_procs):
-                builder = ctx.builders[proc]
-                # Ghost rows: read the adjacent rows of both neighbours.
-                if proc > 0:
-                    read_row(builder, row_addr(proc - 1, rows_per_proc - 1))
-                if proc < n_procs - 1:
-                    read_row(builder, row_addr(proc + 1, 0))
-                # Update own rows: even rows every sweep (columns alternate
-                # by colour), odd rows on odd sweeps only.
-                for local_row in range(rows_per_proc):
-                    global_row = proc * rows_per_proc + local_row
-                    base = row_addr(proc, local_row)
-                    if global_row % 2 == 0:
-                        columns = range(parity, cols, 2)
-                    elif parity == 1:
-                        columns = range(cols)
-                    else:
-                        continue
-                    for col in columns:
-                        builder.read(base + col * WORD)
-                        builder.compute(compute_per_point)
-                        builder.write(base + col * WORD)
+        for sweep_index in range(sweeps_per_day):
+            for builder, ops in zip(ctx.builders, sweeps[sweep_index % 2]):
+                builder.extend(*ops)
             ctx.barrier_all()
     return ctx.program(
         seed=seed,

@@ -28,6 +28,9 @@ self-invalidation forces re-misses that return *normal* blocks and forfeit
 most of DSI's benefit.
 """
 
+import numpy as np
+
+from repro.trace.ops import OP_READ, OP_WRITE
 from repro.workloads.base import WORD, WorkloadContext
 
 
@@ -52,31 +55,56 @@ def sparse(
     """
     ctx = WorkloadContext("sparse", n_procs, seed=seed)
     chunk_words = x_words // n_procs
-    x_chunks = ctx.alloc_array(chunk_words)
+    x_chunks = np.array(ctx.alloc_array(chunk_words), dtype=np.int64)
     a_base = [ctx.alloc_words(p, a_words_per_proc) for p in range(n_procs)]
     y_base = [ctx.alloc_words(p, rows_per_proc) for p in range(n_procs)]
     residual_lock = ctx.new_lock()
     residual = ctx.alloc_words(0, 1)
 
-    def x_addr(word):
-        owner, offset = divmod(word, chunk_words)
-        return x_chunks[owner] + offset * WORD
+    # One sweep of x, per visited word: read x, then every fourth word a
+    # strided read of the private matrix panel, then compute.
+    words = np.arange(0, x_words, sweep_stride)
+    swept = iterations and rows_per_proc and sweeps_per_row and len(words)
+    if swept and (not chunk_words or words[-1] // chunk_words >= n_procs):
+        raise ValueError(f"sparse: x_words={x_words} does not split into {n_procs} chunks")
+    if swept and a_words_per_proc == 0:
+        raise ValueError("sparse: a_words_per_proc=0 leaves no matrix panel to read")
+    owner, offset = np.divmod(words, max(chunk_words, 1))
+    x_addr = x_chunks[np.minimum(owner, n_procs - 1)] + offset * WORD
+    keep = np.stack([np.ones(len(words), bool), words % (sweep_stride * 4) == 0], axis=1).ravel()
+    sweep_is_a = np.tile([False, True], len(words))[keep]
+    sweep_x = np.stack([x_addr, np.zeros_like(x_addr)], axis=1).ravel()[keep]
+    # A row is its sweeps followed by the y write.  The compute after each
+    # word lands on the next x read (or the y write); a row's first op and
+    # the panel reads have no gap.
+    row_x = np.append(np.tile(sweep_x, sweeps_per_row), 0)
+    row_is_a = np.append(np.tile(sweep_is_a, sweeps_per_row), False)
+    row_kinds = np.append(np.full(len(row_x) - 1, OP_READ), OP_WRITE)
+    row_gaps = np.where(row_is_a, 0, compute_per_chunk)
+    row_gaps[0] = 0
+    matvec_x = np.tile(row_x, rows_per_proc)
+    matvec_is_a = np.tile(row_is_a, rows_per_proc)
+    matvec_kinds = np.tile(row_kinds, rows_per_proc)
+    matvec_gaps = np.tile(row_gaps, rows_per_proc)
+    # The panel cursor advances a_stride words per read and restarts at
+    # the top of every product.  (A zero-word panel is only allowed when
+    # nothing sweeps, and then no panel read is emitted.)
+    a_offset = (np.arange(np.count_nonzero(matvec_is_a)) * a_stride) % (a_words_per_proc or 1)
+    y_offset = np.arange(rows_per_proc) * WORD
+
+    matvecs = []
+    for proc in range(n_procs):
+        addrs = matvec_x.copy()
+        addrs[matvec_is_a] = a_base[proc] + a_offset * WORD
+        addrs[matvec_kinds == OP_WRITE] = y_base[proc] + y_offset
+        matvecs.append(addrs)
+    rewrite_kinds = np.append(OP_READ, np.full(chunk_words, OP_WRITE))
 
     ctx.barrier_all()
     for _iteration in range(iterations):
         # Matrix-vector product: every processor sweeps x front-to-back.
-        for proc in range(n_procs):
-            builder = ctx.builders[proc]
-            a_cursor = 0
-            for row in range(rows_per_proc):
-                for _sweep in range(sweeps_per_row):
-                    for word in range(0, x_words, sweep_stride):
-                        builder.read(x_addr(word))
-                        if word % (sweep_stride * 4) == 0:
-                            builder.read(a_base[proc] + (a_cursor % a_words_per_proc) * WORD)
-                            a_cursor += a_stride
-                        builder.compute(compute_per_chunk)
-                builder.write(y_base[proc] + row * WORD)
+        for builder, addrs in zip(ctx.builders, matvecs):
+            builder.extend(matvec_kinds, addrs, matvec_gaps)
         # Lock-protected residual reduction.
         for proc in range(n_procs):
             builder = ctx.builders[proc]
@@ -87,9 +115,8 @@ def sparse(
         # x = f(y): every owner rewrites its chunk, invalidating the world.
         for proc in range(n_procs):
             builder = ctx.builders[proc]
-            builder.read(y_base[proc])
-            for offset in range(chunk_words):
-                builder.write(x_chunks[proc] + offset * WORD)
+            chunk = x_chunks[proc] + np.arange(chunk_words) * WORD
+            builder.extend(rewrite_kinds, np.append(y_base[proc], chunk))
             builder.compute(compute_per_chunk * 8)
         ctx.barrier_all()
     # Round-robin homes: the vector interleaves across the machine, so a

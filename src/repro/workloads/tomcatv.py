@@ -18,6 +18,9 @@ words = 24 KB per processor — between the scaled cache sizes (16 KB /
 128 KB) exactly as 512x512 sat between 256 KB and 2 MB.
 """
 
+import numpy as np
+
+from repro.trace.ops import OP_READ, OP_WRITE
 from repro.workloads.base import WORD, WorkloadContext
 
 N_ARRAYS = 3
@@ -34,51 +37,62 @@ def tomcatv(
 ):
     """Build the Tomcatv program."""
     ctx = WorkloadContext("tomcatv", n_procs, seed=seed)
-    row_words = cols
-    arrays = [
-        [ctx.alloc_words(p, rows_per_proc * row_words) for p in range(n_procs)]
-        for _ in range(N_ARRAYS)
-    ]
-
-    def row_addr(array, proc, local_row):
-        return arrays[array][proc] + local_row * row_words * WORD
-
+    row_bytes = cols * WORD
+    # arrays[a, p]: base of processor p's partition of array a.
+    arrays = np.array(
+        [
+            [ctx.alloc_words(p, rows_per_proc * cols) for p in range(n_procs)]
+            for _ in range(N_ARRAYS)
+        ],
+        dtype=np.int64,
+    )
     stride = read_stride_words * WORD
+    # Byte offset of every point of a partition, row by row.
+    col_bytes = np.arange(0, row_bytes, stride)
+    points = (np.arange(rows_per_proc)[:, None] * row_bytes + col_bytes).ravel()
+    # Boundary-row samples of a neighbour's row.
+    ghost = np.arange(0, cols, read_stride_words * 4) * WORD
+
+    # Phase 1, per point: read a0, read a1, compute, write a2, then (except
+    # at a row's first point) re-read the previous point of a2.  That
+    # recurrence models tomcatv's row dependencies: under WC the read finds
+    # its block's write still outstanding — the paper's "read wb" stall
+    # that cancels the write-buffer win at the small cache size.
+    n_points = len(points)
+    stencil_keep = np.ones((rows_per_proc, len(col_bytes), 4), dtype=bool)
+    stencil_keep[:, :1, 3] = False
+    stencil_keep = stencil_keep.ravel()
+    stencil_kinds = np.tile([OP_READ, OP_READ, OP_WRITE, OP_READ], n_points)[stencil_keep]
+    stencil_gaps = np.tile([0, 0, compute_per_point, 0], n_points)[stencil_keep]
+    # Phase 2, per point: read a2, compute, write a0.
+    sweep_kinds = np.tile([OP_READ, OP_WRITE], n_points)
+    sweep_gaps = np.tile([0, compute_per_point], n_points)
+
+    phases = []
+    for proc in range(n_procs):
+        a0, a1, a2 = arrays[:, proc]
+        ghosts = []
+        if proc > 0:
+            ghosts.append(arrays[0, proc - 1] + (rows_per_proc - 1) * row_bytes + ghost)
+        if proc < n_procs - 1:
+            ghosts.append(arrays[0, proc + 1] + ghost)
+        stencil = np.stack(
+            [a0 + points, a1 + points, a2 + points, a2 + points - stride], axis=1
+        ).ravel()[stencil_keep]
+        sweep = np.stack([a2 + points, a0 + points], axis=1).ravel()
+        phases.append((np.array(ghosts, dtype=np.int64).ravel(), stencil, sweep))
 
     ctx.barrier_all()
     for _iteration in range(iterations):
         # Phase 1: stencil over own rows of arrays 0/1, writing array 2;
         # boundary rows of the neighbours are read once.
-        for proc in range(n_procs):
-            builder = ctx.builders[proc]
-            if proc > 0:
-                for col in range(0, cols, read_stride_words * 4):
-                    builder.read(row_addr(0, proc - 1, rows_per_proc - 1) + col * WORD)
-            if proc < n_procs - 1:
-                for col in range(0, cols, read_stride_words * 4):
-                    builder.read(row_addr(0, proc + 1, 0) + col * WORD)
-            for local_row in range(rows_per_proc):
-                for col_byte in range(0, row_words * WORD, stride):
-                    builder.read(row_addr(0, proc, local_row) + col_byte)
-                    builder.read(row_addr(1, proc, local_row) + col_byte)
-                    builder.compute(compute_per_point)
-                    builder.write(row_addr(2, proc, local_row) + col_byte)
-                    if col_byte:
-                        # Recurrence on the previous point (tomcatv's sweeps
-                        # carry row dependencies): under WC this read finds
-                        # its block's write still outstanding — the paper's
-                        # "read wb" stall that cancels the write-buffer win
-                        # at the small cache size.
-                        builder.read(row_addr(2, proc, local_row) + col_byte - stride)
+        for builder, (ghosts, stencil, _sweep) in zip(ctx.builders, phases):
+            builder.extend(OP_READ, ghosts)
+            builder.extend(stencil_kinds, stencil, stencil_gaps)
         ctx.barrier_all()
         # Phase 2: sweep array 2 back into array 0 (private traffic).
-        for proc in range(n_procs):
-            builder = ctx.builders[proc]
-            for local_row in range(rows_per_proc):
-                for col_byte in range(0, row_words * WORD, stride):
-                    builder.read(row_addr(2, proc, local_row) + col_byte)
-                    builder.compute(compute_per_point)
-                    builder.write(row_addr(0, proc, local_row) + col_byte)
+        for builder, (_ghosts, _stencil, sweep) in zip(ctx.builders, phases):
+            builder.extend(sweep_kinds, sweep, sweep_gaps)
         ctx.barrier_all()
     return ctx.program(
         seed=seed,

@@ -1,10 +1,13 @@
 """RunPool: parallel fan-out, persistent cache, runner integration."""
 
+import itertools
 import os
+import time
 
 import pytest
 
 from repro.config import IdentifyScheme, SystemConfig
+from repro.harness import telemetry
 from repro.harness.experiment import ExperimentRunner
 from repro.harness.runpool import ResultCache, RunPool, code_fingerprint
 from repro.harness.runspec import RunSpec
@@ -41,6 +44,24 @@ class TestCacheWriteFailure:
         assert set(records) == set(specs)
         assert pool.executed == len(specs) and pool.failed == 0
         assert capfd.readouterr().err.count("result cache write failed") == 1
+
+
+class TestMonotonicDurations:
+    def test_backward_wall_clock_step_keeps_durations_positive(self, tmp_path, monkeypatch):
+        """A wall clock stepped backwards during a sweep (an NTP correction)
+        must not turn the run or sweep duration negative."""
+        clock = itertools.count(2e9, -60.0)
+        monkeypatch.setattr(time, "time", lambda: next(clock))
+        log = str(tmp_path / "sweep.jsonl")
+        pool = RunPool(jobs=1, telemetry=telemetry.TelemetryConfig(log_path=log))
+        try:
+            (record,) = pool.run_batch(_specs()[:1]).values()
+        finally:
+            pool.close()
+        assert record.wall_time_s > 0
+        assert record.sim_cycles_per_s is not None
+        end = next(e for e in telemetry.load_log(log) if e["type"] == "sweep_end")
+        assert end["wall_s"] > 0
 
 
 class TestParallelEquivalence:

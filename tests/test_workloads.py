@@ -121,6 +121,15 @@ class TestWorkloadProperties:
             }
             assert len(read_segments) == program.n_procs
 
+    def test_sparse_rejects_empty_matrix_panel(self):
+        """A sweep reads the private panel, so a zero-word panel is an
+        error rather than reads aliased onto the next allocation."""
+        args = dict(QUICK["sparse"], a_words_per_proc=0)
+        with pytest.raises(ValueError, match="a_words_per_proc=0"):
+            sparse(**args)
+        # Without a sweep nothing reads the panel, so the program builds.
+        assert sparse(**dict(args, iterations=0)).n_procs == args["n_procs"]
+
     def test_barnes_is_imbalanced(self):
         program = barnes(**QUICK["barnes"], imbalance=1.0)
         op_counts = [len(trace) for trace in program.traces]
