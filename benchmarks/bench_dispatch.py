@@ -1,22 +1,20 @@
-"""Execution-path microbenchmark: interpreted vs compiled vs fast path.
+"""Execution-path microbenchmark: interpreted vs compiled dispatch.
 
-One workload, one protocol, three execution modes of the same machine:
+Each workload/protocol pair of :data:`PAIRS` runs on two execution modes
+of the same machine:
 
 ``interpreted``
-    Both compiled paths off — the reference interpreter (guard-chain
-    transition dispatch, every access through the event core).
+    Compiled dispatch off — the reference interpreter (guard-chain
+    transition dispatch, the binary-heap event queue, every transaction
+    as messages).
 ``compiled``
-    Transition tables lowered to integer-indexed dispatch
-    (:mod:`repro.coherence.compile`), with the bucketed event queue and
-    the protocol lanes that ride on it; hits still go through the engine.
-``fastpath``
-    The default engine: the above plus the direct-execution batcher
-    (:mod:`repro.processor.fastpath`) retiring hit runs outside the
-    engine.
+    The default engine: transition tables lowered to integer-indexed
+    dispatch (:mod:`repro.coherence.compile`), with the bucketed event
+    queue and the protocol lanes that ride on it.
 
-All three produce bit-identical :class:`~repro.stats.record.RunRecord`
-values (proved by :mod:`repro.harness.equivalence`); this module measures
-what that invisibility costs/buys.  Runs under pytest-benchmark
+Both produce bit-identical :class:`~repro.stats.record.RunRecord` values
+(proved by :mod:`repro.harness.equivalence`); this module measures what
+that invisibility costs/buys.  Runs under pytest-benchmark
 (``pytest benchmarks/bench_dispatch.py --benchmark-only``) or standalone
 (``python benchmarks/bench_dispatch.py``) — CI uses the standalone form.
 """
@@ -29,14 +27,14 @@ import pytest
 from repro.harness.configs import paper_config, workload_args
 from repro.harness.runspec import RunSpec
 
-WORKLOAD = os.environ.get("DSI_DISPATCH_WORKLOAD", "sparse")
-PROTOCOL = os.environ.get("DSI_DISPATCH_PROTOCOL", "V")
-PROCS = int(os.environ.get("DSI_DISPATCH_PROCS", "8"))
+#: (workload, protocol) pairs, each at quick scale on PROCS processors:
+#: a coherence-heavy DSI run and a hit-dominated private run.
+PAIRS = (("sparse", "V"), ("tomcatv", "SC"))
+PROCS = 8
 
 MODES = {
-    "interpreted": {"compiled_dispatch": False, "direct_execution": False},
-    "compiled": {"compiled_dispatch": True, "direct_execution": False},
-    "fastpath": {"compiled_dispatch": True, "direct_execution": True},
+    "interpreted": {"compiled_dispatch": False},
+    "compiled": {"compiled_dispatch": True},
 }
 
 _no_fastpath = pytest.mark.skipif(
@@ -45,38 +43,40 @@ _no_fastpath = pytest.mark.skipif(
 )
 
 
-def make_spec(mode):
-    config = paper_config(PROTOCOL, n_procs=PROCS, **MODES[mode])
+def make_spec(workload, protocol, mode):
+    config = paper_config(protocol, n_procs=PROCS, **MODES[mode])
     return RunSpec.create(
-        WORKLOAD, config, **workload_args(WORKLOAD, quick=True, n_procs=PROCS)
+        workload, config, **workload_args(workload, quick=True, n_procs=PROCS)
     )
 
 
 @_no_fastpath
 @pytest.mark.parametrize("mode", list(MODES))
-def test_dispatch_mode(benchmark, mode):
-    spec = make_spec(mode)
+@pytest.mark.parametrize("workload, protocol", PAIRS)
+def test_dispatch_mode(benchmark, workload, protocol, mode):
+    spec = make_spec(workload, protocol, mode)
     program = spec.build_program()
     record = benchmark.pedantic(lambda: spec.execute(program), rounds=3, iterations=1)
     assert record.exec_time > 0
 
 
 @_no_fastpath
-def test_modes_agree():
+@pytest.mark.parametrize("workload, protocol", PAIRS)
+def test_modes_agree(workload, protocol):
     """The timing comparison is only meaningful if the work is identical."""
-    specs = {mode: make_spec(mode) for mode in MODES}
+    specs = {mode: make_spec(workload, protocol, mode) for mode in MODES}
     program = specs["interpreted"].build_program()
     records = {mode: spec.execute(program) for mode, spec in specs.items()}
     assert records["compiled"] == records["interpreted"]
-    assert records["fastpath"] == records["interpreted"]
 
 
-def main():
-    print(f"# dispatch microbenchmark: {WORKLOAD}/{PROTOCOL}, {PROCS} processors")
+def bench_pair(workload, protocol):
+    """Best-of-3 wall seconds per mode; raises if the records differ."""
+    print(f"# dispatch microbenchmark: {workload}/{protocol}, {PROCS} processors")
     timings = {}
     baseline_record = None
     for mode in MODES:
-        spec = make_spec(mode)
+        spec = make_spec(workload, protocol, mode)
         program = spec.build_program()
         best = None
         record = None
@@ -93,6 +93,11 @@ def main():
     base = timings["interpreted"]
     for mode, wall in timings.items():
         print(f"{mode:12s} {wall * 1000:8.1f} ms   {base / wall:5.2f}x vs interpreted")
+
+
+def main():
+    for workload, protocol in PAIRS:
+        bench_pair(workload, protocol)
     return 0
 
 

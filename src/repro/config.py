@@ -128,15 +128,21 @@ class SystemConfig:
     quantum: int = 100  # max cycles of hit-processing per processor event
     check_invariants: bool = False  # enable the SWMR/value protocol monitor
     max_events: int = 0  # 0 = unlimited; else abort after this many events
-    # Execution engine (repro.coherence.compile / repro.processor.fastpath).
-    # Both default on; compiled dispatch also brings in the bucketed event
-    # queue and the protocol lanes (repro.system.Machine).  The interpreted
-    # paths stay bit-identical and remain as the reference side of the
-    # equivalence harness.  The DSI_NO_FASTPATH environment variable (any
-    # non-empty value) forces both off — the runtime escape hatch behind
+    # Execution engine (repro.coherence.compile).  Compiled dispatch, on
+    # by default, also brings in the bucketed event queue and the protocol
+    # lanes (repro.system.Machine).  The interpreted paths stay
+    # bit-identical and remain as the reference side of the equivalence
+    # harness.  The DSI_NO_FASTPATH environment variable (any non-empty
+    # value) forces them — the interpreted oracle behind
     # ``dsi-sim run --no-fastpath``.
     compiled_dispatch: bool = True  # table lowered to integer-indexed dispatch
-    direct_execution: bool = True  # batch private/valid hits outside the engine
+    # Selects nothing: direct execution (hit runs batched outside the
+    # engine) was removed, and every hit takes the controller's one hit
+    # path.  Kept, with its default, because RunSpec keys hash every field
+    # and perfbench reads it; it retires with ``execution_mode`` in the
+    # schema bump that also edits perfbench.  DSI_NO_FASTPATH and
+    # ``--no-fastpath`` still clear it, so interpreted runs keep their keys.
+    direct_execution: bool = True
     # Selects nothing: every run takes the same engine (see ExecutionMode).
     # Kept, with its default, so RunSpec keys and cached records stay valid.
     execution_mode: ExecutionMode = ExecutionMode.REFERENCE

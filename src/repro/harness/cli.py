@@ -186,11 +186,11 @@ def build_parser():
     parser.add_argument(
         "--no-fastpath",
         action="store_true",
-        help="run: interpreted execution paths only — disable the compiled "
-        "transition dispatch (and with it the bucketed event queue and the "
-        "protocol lanes) and the direct-execution batcher (results are "
-        "bit-identical either way; this is the debugging escape hatch, also "
-        "available process-wide via the DSI_NO_FASTPATH environment variable)",
+        help="run: the interpreted oracle — disable the compiled transition "
+        "dispatch and with it the bucketed event queue and the protocol lanes "
+        "(results are bit-identical either way; this is the debugging escape "
+        "hatch, also available process-wide via the DSI_NO_FASTPATH "
+        "environment variable)",
     )
     parser.add_argument(
         "--latency", type=int, default=100, help="run: network latency in cycles"

@@ -1,8 +1,7 @@
 """Default-engine-vs-interpreter equivalence proofs.
 
 Every layer of the default engine — :mod:`repro.coherence.compile` table
-dispatch, the :mod:`repro.processor.fastpath` direct-execution batcher,
-the bucketed event queue and the Message-free protocol lanes
+dispatch, the bucketed event queue and the Message-free protocol lanes
 (:data:`repro.system.ENGINE_LAYERS`) — claims to be *invisible*: a
 default run must produce a :class:`~repro.stats.record.RunRecord` equal
 — field for field, event count included, telemetry excluded — to the
@@ -88,8 +87,9 @@ def config_for_variant(variant, n_procs=SWEEP_PROCS, **overrides):
 
 
 def reference_config(config):
-    """The interpreted twin of ``config``: both compiled paths off, which
-    also keeps the bucketed queue and the lanes off."""
+    """The interpreted twin of ``config``: compiled dispatch off, which
+    also keeps the bucketed queue and the lanes off.  ``direct_execution``
+    selects nothing; it is cleared as ``--no-fastpath`` clears it."""
     return replace(config, compiled_dispatch=False, direct_execution=False)
 
 
@@ -117,7 +117,7 @@ def check_pair(workload, config, wl_args):
 
 #: Layer activation order for mismatch localization: each step switches
 #: one more layer on over the interpreted oracle.
-LAYER_ORDER = ("compiled dispatch", "direct execution", "queue", "lanes")
+LAYER_ORDER = ("compiled dispatch", "queue", "lanes")
 
 
 def localize_layer(workload, config, wl_args):
@@ -128,7 +128,6 @@ def localize_layer(workload, config, wl_args):
     oracle names the layer."""
     saved = system_mod.ENGINE_LAYERS
     steps = (
-        (replace(config, direct_execution=False), frozenset()),
         (config, frozenset()),
         (config, frozenset({"queue"})),
         (config, saved),

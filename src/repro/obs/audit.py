@@ -16,6 +16,7 @@ always-on (when instrumented) runtime assertions over *actual runs*:
     copy in E, a Shared entry's sharer bits must match the valid
     non-tear-off S copies, an Idle entry must have no tracked copies, and
     no MSHR, busy entry or deferred queue may survive the last processor.
+    Each cache's block index must equal a scan of its sets' valid frames.
     Tear-off copies (§3.3) are deliberately untracked by the full map and
     are exempt.
 
@@ -132,7 +133,15 @@ def audit_coherence(machine):
                 f"cache {controller.node}: MSHRs still open at quiesce for "
                 f"blocks {sorted(controller.mshrs)}"
             )
-        for block, copy in controller.cache.snapshot().items():
+        cache = controller.cache
+        scanned = cache.valid_blocks()
+        if cache.index != scanned:
+            stale = sorted(set(cache.index.items()) ^ set(scanned.items()))
+            problems.append(
+                f"cache {controller.node}: block index disagrees with its sets "
+                f"on blocks {sorted({block for block, _frame in stale})}"
+            )
+        for block, copy in cache.snapshot().items():
             copies_by_block.setdefault(block, {})[controller.node] = copy
     blocks = copies = 0
     known = set()

@@ -16,8 +16,7 @@ one of :data:`CAUSAL_CATEGORIES`:
 ``compute``
     Trace gap cycles — the work between memory references.
 ``cache-hit``
-    Cycles retiring hits (including hits retired in bulk by the
-    direct-execution fast path, and the hit cost of WC buffered writes).
+    Cycles retiring hits (including the hit cost of WC buffered writes).
 ``miss-data``
     Miss stall not attributable to a finer cause: controller occupancy at
     the requester and the home's classification/response work.

@@ -10,6 +10,14 @@ approach the Wisconsin Wind Tunnel used (its quantum was the 100-cycle
 network latency).  Every *blocking* operation is realigned to the exact
 cycle first, so stall accounting is precise.
 
+Every hit goes through the controller's ``try_read``/``try_write``, so
+the one hit path is also the one the coherence monitor and Tardis see.
+The per-op overhead around it is kept small by walking the trace as
+Python lists: the processor converts it window by window (``CHUNK`` ops
+at a time — gaps, kinds and block numbers) instead of indexing numpy
+scalars per op, and instead of converting the whole trace up front,
+which would hold every processor's trace as Python ints at once.
+
 Stall attribution follows the paper's Figure 3 categories: the directory
 reports how long it waited for invalidation acknowledgments before
 responding (``inval_wait``), which becomes read/write *invalidation* time;
@@ -18,9 +26,11 @@ accumulate ``synch_wb`` (write-buffer drain), ``dsi`` (self-invalidation
 flush) and ``sync`` (lock/barrier waiting, including lock-word transfer).
 """
 
-from repro.processor.fastpath import FastPath
 from repro.stats.breakdown import Breakdown
 from repro.trace.ops import OP_LOCK, OP_READ, OP_UNLOCK, OP_WRITE
+
+#: ops per trace window converted to Python lists (see the module docstring)
+CHUNK = 4096
 
 
 class StampSource:
@@ -53,19 +63,14 @@ class Processor:
         self.hit_cycles = config.cache_hit_cycles
         self.quantum = max(1, config.quantum)
         self.breakdown = Breakdown()
-        self.idx = 0
+        self.idx = 0  # global trace index of the next op
         self._gap_charged = False
         self._stall_start = 0
         self.finished = False
         self.finish_time = None
-        # WWT-style direct execution (repro.processor.fastpath): off under
-        # Tardis (hits mutate lease state) and under the invariant monitor
-        # (it must observe every access).  Instrumented runs keep it — the
-        # interpreted hit path fires no probes, so neither does the batcher.
-        if config.direct_execution and not config.tardis and not config.check_invariants:
-            self._fast = FastPath(self)
-        else:
-            self._fast = None
+        # The current trace window: ops [_base, _base + len(_kinds)) as lists.
+        self._base = 0
+        self._gaps = self._kinds = self._blocks = []
 
     def start(self):
         self.sim.schedule(0, self._run)
@@ -73,104 +78,96 @@ class Processor:
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
+    def _load_window(self, idx):
+        trace = self.trace
+        end = idx + CHUNK
+        self._base = idx
+        self._gaps = trace.gaps[idx:end].tolist()
+        self._kinds = trace.kinds[idx:end].tolist()
+        self._blocks = (trace.addrs[idx:end] >> self.block_shift).tolist()
+
     def _run(self):
         sim = self.sim
         ctrl = self.controller
+        try_read, try_write = ctrl.try_read, ctrl.try_write
+        next_stamp = self.stamps.next
         breakdown = self.breakdown
-        trace = self.trace
-        gaps, kinds, addrs = trace.gaps, trace.kinds, trace.addrs
-        n_ops = len(kinds)
         quantum = self.quantum
         hit_cycles = self.hit_cycles
-        shift = self.block_shift
-        fast = self._fast
-        idx = self.idx
+        base = self._base
+        gaps, kinds, blocks = self._gaps, self._kinds, self._blocks
+        n = len(kinds)
+        i = self.idx - base  # window-local index; self.idx = base + i on exit
+        charged = self._gap_charged
         elapsed = 0
         while True:
-            if idx >= n_ops:
-                self.idx = idx
-                if elapsed:
-                    sim.schedule(elapsed, self._run)
-                else:
-                    self._finish()
-                return
-            if fast is not None:
-                # Direct execution: retire the eligible hit run vectorized.
-                # None = quantum boundary scheduled (state saved); otherwise
-                # fall through to the interpreted loop for the first op that
-                # misses, touches DSI state, or is a sync op.
-                result = fast.advance(idx, elapsed)
-                if result is None:
-                    return
-                next_idx, next_elapsed = result
-                if next_idx != idx:
-                    idx = next_idx
-                    elapsed = next_elapsed
-                    self._gap_charged = False
-                    continue
-            if not self._gap_charged:
-                gap = int(gaps[idx])
-                if gap:
-                    breakdown.compute += gap
-                    elapsed += gap
-                self._gap_charged = True
-                if elapsed >= quantum:
+            if i >= n:
+                idx = base + i
+                if idx >= len(self.trace):
+                    if elapsed:
+                        break
                     self.idx = idx
-                    sim.schedule(elapsed, self._run)
+                    self._finish()
                     return
-            kind = kinds[idx]
+                self._load_window(idx)
+                base = idx
+                gaps, kinds, blocks = self._gaps, self._kinds, self._blocks
+                n = len(kinds)
+                i = 0
+            if not charged:
+                elapsed += gaps[i]
+                charged = True
+                if elapsed >= quantum:
+                    break
+            kind = kinds[i]
             if kind == OP_READ:
-                block = int(addrs[idx]) >> shift
-                if ctrl.try_read(block):
-                    breakdown.compute += hit_cycles
+                if try_read(blocks[i]):
                     elapsed += hit_cycles
-                    idx += 1
-                    self._gap_charged = False
+                    i += 1
+                    charged = False
                     if elapsed >= quantum:
-                        self.idx = idx
-                        sim.schedule(elapsed, self._run)
-                        return
+                        break
                     continue
-                self.idx = idx
                 if elapsed:
-                    sim.schedule(elapsed, self._run)
-                    return
-                self._stall_start = sim.now
-                ctrl.read(block, self._read_done)
+                    break
+                self._stall(base + i)
+                ctrl.read(blocks[i], self._read_done)
                 return
             if kind == OP_WRITE:
-                block = int(addrs[idx]) >> shift
-                if ctrl.try_write(block, self.stamps.next()):
-                    breakdown.compute += hit_cycles
+                if try_write(blocks[i], next_stamp()):
                     elapsed += hit_cycles
-                    idx += 1
-                    self._gap_charged = False
+                    i += 1
+                    charged = False
                     if elapsed >= quantum:
-                        self.idx = idx
-                        sim.schedule(elapsed, self._run)
-                        return
+                        break
                     continue
-                self.idx = idx
                 if elapsed:
-                    sim.schedule(elapsed, self._run)
-                    return
-                self._stall_start = sim.now
-                status = ctrl.write(block, self.stamps.next(), self._write_done)
-                if status == "wait":
+                    break
+                self._stall(base + i)
+                if ctrl.write(blocks[i], next_stamp(), self._write_done) == "wait":
                     return
                 # WC: the write was buffered and its request issued.
-                breakdown.compute += hit_cycles
                 elapsed += hit_cycles
-                idx += 1
-                self._gap_charged = False
+                i += 1
+                charged = False
                 continue
             # Synchronization operation: always realign first.
-            self.idx = idx
             if elapsed:
-                sim.schedule(elapsed, self._run)
-                return
-            self._do_sync(int(kind), int(addrs[idx]))
+                break
+            self._stall(base + i)
+            self._do_sync(kind, int(self.trace.addrs[base + i]))
             return
+        # Re-enter the event queue after ``elapsed`` cycles of hits and gaps.
+        self.idx = base + i
+        self._gap_charged = charged
+        breakdown.compute += elapsed
+        sim.schedule(elapsed, self._run)
+
+    def _stall(self, idx):
+        """Block on op ``idx`` (its gap charged) at the current cycle."""
+        self.idx = idx
+        self._gap_charged = True
+        self._stall_start = self.sim.now
 
     # ------------------------------------------------------------------
     # Completion callbacks

@@ -890,7 +890,6 @@ class CacheController:
         self.retry_deferred_fills()
         frame.state = EXCLUSIVE
         frame.version = version
-        self.cache.note_frame_changed(frame)
         self._apply_write(frame, mshr.stamp)
         if si:
             self.cache.mark_si(frame)
@@ -1063,7 +1062,6 @@ class CacheController:
         frame = ctx.frame = ctx.mshr.frame
         frame.state = EXCLUSIVE
         frame.version = ctx.msg.version
-        self.cache.note_frame_changed(frame)
         if self.monitor:
             self.monitor.on_fill(self.node, ctx.block, EXCLUSIVE, frame.data, False)
 

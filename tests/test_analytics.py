@@ -229,6 +229,14 @@ class TestCoherenceAudit:
         with pytest.raises(AuditError, match=f"block {block}"):
             audit_coherence(machine)
 
+    def test_stale_block_index_is_caught(self):
+        _, machine = run_analytics("producer_consumer", n_procs=2)
+        cache = next(c.cache for c in machine.controllers if c.cache.index)
+        block = min(cache.index)
+        del cache.index[block]  # a valid frame the hit path can no longer see
+        with pytest.raises(AuditError, match=rf"block index disagrees .*\[{block}\]"):
+            audit_coherence(machine)
+
 
 class TestAnalyzeCli:
     def test_table_output(self, capsys):

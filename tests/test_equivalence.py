@@ -17,7 +17,9 @@ from repro.config import IdentifyScheme, SIMechanism
 from repro.engine.simulator import BucketSimulator
 from repro.harness import equivalence
 from repro.harness.configs import WORKLOADS, workload_args
+from repro.harness.runspec import RunSpec
 from repro.protocol.controller import CacheController
+from repro.system import ENGINE_LAYERS, Machine
 
 #: Spine of the variant space: base protocols, both identification
 #: schemes the paper evaluates, both SI mechanisms, both tear-off modes,
@@ -69,12 +71,20 @@ def test_config_for_variant_roundtrips_every_variant():
 
 
 def test_reference_config_flips_both_layers():
-    config = equivalence.config_for_variant(ProtocolVariant())
+    # Compiled dispatch off (the queue and the lanes go with it) and the
+    # inert ``direct_execution`` field cleared, exactly as --no-fastpath
+    # does, so the oracle's RunSpec keys match the CLI's.
+    config = equivalence.config_for_variant(ProtocolVariant(), n_procs=PROCS)
     ref = equivalence.reference_config(config)
     assert config.compiled_dispatch and config.direct_execution
     assert not ref.compiled_dispatch and not ref.direct_execution
     # Everything else is untouched — same machine, different engine.
     assert ref.with_(compiled_dispatch=True, direct_execution=True) == config
+    program = RunSpec.create(
+        "em3d", config, **workload_args("em3d", quick=True, n_procs=PROCS)
+    ).build_program()
+    assert Machine(config, program).layers == ENGINE_LAYERS
+    assert not Machine(ref, program).layers
 
 
 def _phantom_bucket_event(monkeypatch):

@@ -303,6 +303,61 @@ class TestCacheModelProperty:
         assert valid == expected
 
 
+def index_ops():
+    step = st.one_of(
+        st.tuples(st.just("fill"), st.integers(0, 23), st.booleans()),
+        st.tuples(st.just("inval"), st.integers(0, 23), st.booleans()),
+        st.tuples(st.just("mark"), st.integers(0, 23), st.booleans()),
+        st.tuples(st.just("pin"), st.integers(0, 23), st.booleans()),
+    )
+    return st.lists(step, max_size=80)
+
+
+class TestCacheIndex:
+    """``Cache.index`` against the oracle: a scan of every set's frames."""
+
+    @staticmethod
+    def _frame_with_tag(cache, block):
+        # The frame holding ``block``'s tag, valid or not (a scan).
+        frames = cache._sets_map.get(cache.set_index(block), ())
+        return next((f for f in frames if f.tag == block), None)
+
+    @given(index_ops())
+    @settings(max_examples=150, deadline=None)
+    def test_index_matches_scan(self, ops):
+        cache = make_cache(cache_size=2 * 32 * 4, assoc=2)  # 4 sets, 2 ways
+        for op, block, flag in ops:
+            frame = self._frame_with_tag(cache, block)
+            if op == "fill":
+                if frame is not None and frame.valid:
+                    with pytest.raises(SimulationError):
+                        cache.fill(block, SHARED, data=0)
+                else:
+                    # Refills an invalid frame still holding the tag, takes
+                    # a free frame, evicts the LRU unpinned one, or finds
+                    # the whole set pinned and returns (None, None).
+                    before = dict(cache.index)
+                    filled, victim = cache.fill(block, EXCLUSIVE, data=0, s_bit=flag)
+                    if filled is None:
+                        assert cache.index == before
+                    else:
+                        if frame is not None:
+                            assert filled is frame
+                        if victim is not None:
+                            assert victim.block not in cache.index
+            elif op == "inval" and frame is not None:
+                cache.invalidate(frame, keep_version=flag)
+            elif op == "mark" and frame is not None:
+                cache.mark_si(frame, marked=flag)
+            elif op == "pin" and frame is not None:
+                frame.pinned = flag
+            scan = cache.valid_blocks()
+            assert cache.index == scan
+            for probe in range(24):
+                assert cache.lookup(probe, touch=False) is scan.get(probe)
+            assert all(f.valid and f.s_bit for f in cache.si_frames)
+
+
 class TestWriteBuffer:
     def test_allocate_and_retire(self):
         wb = CoalescingWriteBuffer(2)

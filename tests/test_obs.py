@@ -107,9 +107,9 @@ class TestCausalEquivalence:
     """The causal tracer keeps the equivalence contract too: txn ids are
     allocated inside the instrument (never on the bare path), every
     override is super()-first and read-only, so a run with a
-    CausalInstrument stays bit-identical to a bare one — including under
-    the direct-execution fast path, where retired private hits fire no
-    probes and surface as cache-hit cycles in bulk."""
+    CausalInstrument stays bit-identical to a bare one — with and
+    without the coherence monitor, whose hooks ride the hit path (hits
+    fire no probes and surface as cache-hit cycles)."""
 
     def _records(self, config):
         from repro.obs import CausalInstrument
@@ -129,16 +129,16 @@ class TestCausalEquivalence:
         bare, observed, instrument = self._records(dsi_fifo_config())
         assert bare.to_dict() == observed.to_dict()
 
-    def test_fastpath_equivalent(self):
-        # check_invariants=False is what arms the direct-execution fast
-        # path (tiny_config turns it on, which disables the batcher).
+    def test_unmonitored_instrumented_run_equals_bare(self):
+        # tiny_config turns the coherence monitor on; this is the run
+        # without it.
         config = tiny_config(check_invariants=False)
-        assert config.direct_execution and not config.check_invariants
+        assert not config.check_invariants
         bare, observed, instrument = self._records(config)
         assert bare.to_dict() == observed.to_dict()
         assert instrument.accounting is not None
 
-    def test_fastpath_and_interpreter_report_same_totals(self):
+    def test_monitored_and_unmonitored_report_same_totals(self):
         from repro.obs import CausalInstrument
 
         totals = []

@@ -13,7 +13,7 @@ configuration must:
 * agree with the base protocol on the values race-free readers observe.
 
 The same programs also drive the engine differential: the default engine
-(compiled dispatch, direct execution, bucketed queue, protocol lanes)
+(compiled dispatch, bucketed queue, protocol lanes)
 must produce the interpreted oracle's record, event count included.
 """
 
